@@ -192,6 +192,8 @@ func BenchmarkSimulateSaturated(b *testing.B) { perf.SimulateSaturated(b) }
 
 func BenchmarkReplayHotPath(b *testing.B) { perf.ReplayHotPath(b) }
 
+func BenchmarkElasticLongServe(b *testing.B) { perf.ElasticLongServe(b) }
+
 func BenchmarkCacheDispatch(b *testing.B) { perf.CacheDispatch(b) }
 
 func BenchmarkTuneSerial(b *testing.B) { perf.TuneSerial(b) }

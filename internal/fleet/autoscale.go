@@ -154,33 +154,24 @@ func (l *Live) maybeAutoscale(now float64) (bool, error) {
 	}
 	backlog /= float64(n)
 
-	active := l.activeWorkers()
-	per := backlog / float64(active)
+	per := backlog / float64(l.active)
 	switch {
-	case per > a.up() && active < a.Max:
+	case per > a.up() && l.active < a.Max:
 		l.scaleOut(now, a)
 		return true, nil
-	case per < a.down() && active > a.minWorkers():
+	case per < a.down() && l.active > a.minWorkers():
 		return l.scaleIn(now), nil
 	}
 	return false, nil
 }
 
-// activeWorkers counts workers accepting new dispatches.
-func (l *Live) activeWorkers() int {
-	n := 0
-	for w := range l.drain {
-		if !l.drain[w] {
-			n++
-		}
-	}
-	return n
-}
-
 // scaleOut adds one worker of the autoscaler's class: it joins every model's
 // placement (ids only grow, so rows stay sorted) with its first availability
 // lagged by ScaleOutLag — the engine's free-time mechanism models the boot
-// cost without any extra event machinery.
+// cost without any extra event machinery. The new slot's id is fresh, so the
+// per-worker slices grow by one per scale-out over the whole session; the
+// dispatch path stays independent of that history because it walks only the
+// placement rows, which hold active workers alone (see nextDispatch).
 func (l *Live) scaleOut(now float64, a *AutoscaleConfig) {
 	st := l.st
 	w := len(st.free)
@@ -194,7 +185,8 @@ func (l *Live) scaleOut(now float64, a *AutoscaleConfig) {
 	for m := range st.asg {
 		st.asg[m] = append(st.asg[m], w)
 	}
-	l.met.ScaleEvents = append(l.met.ScaleEvents, ScaleEvent{Time: now, Worker: w, Delta: +1, Workers: l.activeWorkers()})
+	l.active++
+	l.met.ScaleEvents = append(l.met.ScaleEvents, ScaleEvent{Time: now, Worker: w, Delta: +1, Workers: l.active})
 }
 
 // scaleIn drains the highest-indexed eligible worker: reserved workers and
@@ -239,6 +231,7 @@ func (l *Live) scaleIn(now float64) bool {
 		l.preemptQueuedChunks(now)
 	}
 	l.lives[target].RetiredAt = math.Max(now, st.free[target])
-	l.met.ScaleEvents = append(l.met.ScaleEvents, ScaleEvent{Time: now, Worker: target, Delta: -1, Workers: l.activeWorkers()})
+	l.active--
+	l.met.ScaleEvents = append(l.met.ScaleEvents, ScaleEvent{Time: now, Worker: target, Delta: -1, Workers: l.active})
 	return true
 }

@@ -64,10 +64,19 @@ type Live struct {
 	outcome  []Outcome
 	gens     []int
 
-	queue   []qentry // whole admissions awaiting dispatch, admission order
-	chunks  []qentry // split chunks awaiting dispatch, FIFO
-	splits  map[int]*fleetSplit
-	eligIdx []int // dispatch-candidate scratch, reused across events
+	queue  []qentry // whole admissions awaiting dispatch, admission order
+	chunks []qentry // split chunks awaiting dispatch, FIFO
+	splits map[int]*fleetSplit
+
+	// Per-event scratch, reused so admission and dispatch allocate nothing:
+	// dispatch candidates (queue indices and the policy's view of them),
+	// the admission policy's per-tenant load copy, each model's earliest
+	// queued arrival, and which models are placed on the dispatching worker.
+	eligIdx    []int
+	elig       []QueuedRequest
+	tenantLoad []int
+	modelMin   []float64
+	placedHere []bool
 
 	queuedByTenant []int
 	queuedByModel  []int
@@ -78,9 +87,11 @@ type Live struct {
 
 	// Elastic-pool state: drain marks workers the autoscaler removed from
 	// every placement row (they finish in-flight work, then sit retired);
-	// lives records each worker's add/retire times.
-	drain []bool
-	lives []WorkerLife
+	// lives records each worker's add/retire times; active counts the
+	// workers not draining.
+	drain  []bool
+	lives  []WorkerLife
+	active int
 
 	met       *Metrics
 	lastEnd   float64
@@ -118,6 +129,9 @@ func (p *Pool) Begin() *Live {
 		lcs:            make([]*trace.LoopControl, len(p.models)),
 		occ:            make([]*modelOccupier, len(p.models)),
 		splits:         make(map[int]*fleetSplit),
+		tenantLoad:     make([]int, len(p.tenants)),
+		modelMin:       make([]float64, len(p.models)),
+		placedHere:     make([]bool, len(p.models)),
 		queuedByTenant: make([]int, len(p.tenants)),
 		queuedByModel:  make([]int, len(p.models)),
 		splitsByModel:  make([]int, len(p.models)),
@@ -126,6 +140,7 @@ func (p *Pool) Begin() *Live {
 		tenantSojourns: make([][]float64, len(p.tenants)),
 		drain:          make([]bool, k),
 		lives:          make([]WorkerLife, k),
+		active:         k,
 	}
 	for w := 0; w < k; w++ {
 		l.lives[w] = WorkerLife{Worker: w, Class: class[w], RetiredAt: math.NaN()}
@@ -303,11 +318,12 @@ func (l *Live) Admit(r Request) (int, []Event, error) {
 		Tenant:   r.Tenant,
 		Priority: l.p.tenants[r.Tenant].Priority,
 	}
+	copy(l.tenantLoad, l.queuedByTenant)
 	load := PoolLoad{
 		Now:            now,
 		Queued:         len(l.queue) + len(l.chunks),
 		QueueDepth:     l.p.cfg.Queue.QueueDepth,
-		QueuedByTenant: append([]int(nil), l.queuedByTenant...),
+		QueuedByTenant: l.tenantLoad,
 	}
 	ok, out := l.p.policy.Admit(qr, load)
 	if !ok {
@@ -594,41 +610,45 @@ func (l *Live) shed(pos int, out Outcome, model, tenant int, now float64) {
 	})
 }
 
-// nextDispatch computes the earliest possible dispatch: for each worker, the
-// earliest queued request or split chunk placed on it (by arrival) bounds the
-// worker's next start. Ties between workers resolve by the placement
-// strategy. Returns (-1, +Inf) when nothing is queued.
+// nextDispatch computes the earliest possible dispatch: a worker's next start
+// is bounded by its free time and by the earliest queued request or split
+// chunk (by arrival) of any model placed on it. Ties between workers resolve
+// by the placement strategy. Returns (-1, +Inf) when nothing is queued.
+//
+// One pass over the queue and the chunks finds each model's earliest
+// arrival; the minima then fan out through the placement rows. A call costs
+// O(queue + chunks + placed workers): drained and retired workers sit in no
+// row, so the slots autoscaling leaves behind (ids are never reused) cost
+// nothing. A worker placed for several models is offered once per row, with
+// that model's minimum; its best offer is its true next start, and the
+// candidate order — time, then betterWorker — is a strict total order, so
+// the pick equals a scan of every worker in ascending id.
 func (l *Live) nextDispatch() (int, float64) {
-	// Size by the live worker set: autoscaling grows it past the configured
-	// count. Drained workers need no special case — they leave every
-	// placement row, so nothing is placed on them.
-	k := len(l.st.free)
+	minArr := l.modelMin
+	for m := range minArr {
+		minArr[m] = math.Inf(1)
+	}
+	for i := range l.queue {
+		if e := &l.queue[i]; e.arrival < minArr[e.model] {
+			minArr[e.model] = e.arrival
+		}
+	}
+	for i := range l.chunks {
+		if e := &l.chunks[i]; e.arrival < minArr[e.model] {
+			minArr[e.model] = e.arrival
+		}
+	}
 	bestW := -1
 	tDisp := math.Inf(1)
-	for w := 0; w < k; w++ {
-		minArr := math.Inf(1)
-		for i := range l.queue {
-			if !placedOn(l.st.asg, l.queue[i].model, w) {
-				continue
-			}
-			if l.queue[i].arrival < minArr {
-				minArr = l.queue[i].arrival
-			}
-		}
-		for i := range l.chunks {
-			if !placedOn(l.st.asg, l.chunks[i].model, w) {
-				continue
-			}
-			if l.chunks[i].arrival < minArr {
-				minArr = l.chunks[i].arrival
-			}
-		}
-		if math.IsInf(minArr, 1) {
+	for m, row := range l.st.asg {
+		if math.IsInf(minArr[m], 1) {
 			continue
 		}
-		t := math.Max(l.st.free[w], minArr)
-		if t < tDisp || (t == tDisp && l.st.betterWorker(w, bestW)) {
-			bestW, tDisp = w, t
+		for _, w := range row {
+			t := math.Max(l.st.free[w], minArr[m])
+			if t < tDisp || (t == tDisp && l.st.betterWorker(w, bestW)) {
+				bestW, tDisp = w, t
+			}
 		}
 	}
 	return bestW, tDisp
@@ -640,32 +660,36 @@ func (l *Live) nextDispatch() (int, float64) {
 // arrival at time t, matching the single-model engine.
 func (l *Live) advanceUntil(bound float64) error {
 	for {
-		bestW, tDisp := l.nextDispatch()
-		if bestW == -1 || tDisp > bound {
-			return nil
-		}
-		// The rebalance pacing is evaluated at dispatch events too —
-		// otherwise the hook would fall silent the moment arrivals stop
-		// (drain phase) or thin out. An applied rebalance invalidates the
-		// candidate computation above, so recompute the event under the new
-		// assignment; lastReb has advanced, so this cannot loop.
-		if changed, err := l.maybeRebalance(tDisp); err != nil {
-			return err
-		} else if changed {
-			continue
-		}
-		// Same rule for the autoscaler: a scale decision reshapes the worker
-		// set, so the candidate must be recomputed; lastScale has advanced,
-		// so this cannot loop either.
-		if changed, err := l.maybeAutoscale(tDisp); err != nil {
-			return err
-		} else if changed {
-			continue
-		}
-		if err := l.dispatchAt(bestW, tDisp); err != nil {
+		more, err := l.step(bound)
+		if err != nil || !more {
 			return err
 		}
 	}
+}
+
+// step takes the next engine step at or before bound: a rebalance or a
+// scale decision due at the next dispatch time, or else the dispatch itself.
+// It reports false when no dispatch is due by bound.
+func (l *Live) step(bound float64) (bool, error) {
+	bestW, tDisp := l.nextDispatch()
+	if bestW == -1 || tDisp > bound {
+		return false, nil
+	}
+	// The rebalance pacing is evaluated at dispatch events too — otherwise
+	// the hook would fall silent the moment arrivals stop (drain phase) or
+	// thin out. An applied rebalance invalidates the candidate computed
+	// above, so the next step recomputes it under the new assignment;
+	// lastReb has advanced, so this cannot loop.
+	if changed, err := l.maybeRebalance(tDisp); err != nil || changed {
+		return err == nil, err
+	}
+	// Same rule for the autoscaler: a scale decision reshapes the worker
+	// set, so the candidate must be recomputed; lastScale has advanced, so
+	// this cannot loop either.
+	if changed, err := l.maybeAutoscale(tDisp); err != nil || changed {
+		return err == nil, err
+	}
+	return true, l.dispatchAt(bestW, tDisp)
 }
 
 // dispatchAt executes one dispatch event on worker bestW at time tDisp:
@@ -675,6 +699,20 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 	p := l.p
 	met := l.met
 
+	// Which models may run on bestW, computed once per event from the
+	// placement rows; the scans below test it instead of searching a row
+	// per queue entry.
+	here := l.placedHere
+	for m, row := range l.st.asg {
+		here[m] = false
+		for _, w := range row {
+			if w == bestW {
+				here[m] = true
+				break
+			}
+		}
+	}
+
 	// Split chunks placed on this worker dispatch ahead of any policy
 	// pick — a split request was already chosen by the policy once, and
 	// finishing it promptly is the point of splitting (the single-model
@@ -682,12 +720,12 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 	// front). Chunks dispatch in split order.
 	ci := -1
 	for i := range l.chunks {
-		if l.chunks[i].arrival <= tDisp && placedOn(l.st.asg, l.chunks[i].model, bestW) {
+		if l.chunks[i].arrival <= tDisp && here[l.chunks[i].model] {
 			ci = i
 			break
 		}
 	}
-	if ci >= 0 && p.cfg.Preempt && l.hasUrgentWhole(bestW, tDisp, l.chunks[ci].prio) {
+	if ci >= 0 && p.cfg.Preempt && l.hasUrgentWhole(here, tDisp, l.chunks[ci].prio) {
 		// Chunk-boundary preemption: a strictly higher-priority whole request
 		// is waiting for this worker, so the head chunk yields the slot — its
 		// arrival moves to now (the requeue) and the policy picks instead.
@@ -771,19 +809,17 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 	// Dispatch on bestW at tDisp: the policy picks among the queued
 	// requests that are placed on this worker and have arrived.
 	l.eligIdx = l.eligIdx[:0]
+	l.elig = l.elig[:0]
 	for i := range l.queue {
-		if l.queue[i].arrival <= tDisp && placedOn(l.st.asg, l.queue[i].model, bestW) {
+		if e := &l.queue[i]; e.arrival <= tDisp && here[e.model] {
 			l.eligIdx = append(l.eligIdx, i)
+			l.elig = append(l.elig, QueuedRequest{
+				ID: e.id, Arrival: e.arrival, Deadline: e.deadline,
+				Size: e.size, Model: e.model, Tenant: e.tenant, Priority: e.prio,
+			})
 		}
 	}
-	elig := make([]QueuedRequest, len(l.eligIdx))
-	for j, i := range l.eligIdx {
-		e := &l.queue[i]
-		elig[j] = QueuedRequest{
-			ID: e.id, Arrival: e.arrival, Deadline: e.deadline,
-			Size: e.size, Model: e.model, Tenant: e.tenant, Priority: e.prio,
-		}
-	}
+	elig := l.elig
 	pick := p.policy.Next(elig, tDisp)
 	if pick < 0 || pick >= len(elig) {
 		return fmt.Errorf("fleet: policy %s picked out-of-range candidate %d of %d", p.policy.Name(), pick, len(elig))
@@ -869,11 +905,13 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 }
 
 // hasUrgentWhole reports whether a whole queued request with strictly higher
-// priority than prio has arrived and is placed on worker w — the condition
-// under which a waiting split chunk yields its dispatch slot (Config.Preempt).
-func (l *Live) hasUrgentWhole(w int, tDisp float64, prio int) bool {
+// priority than prio has arrived and belongs to a model in here, the
+// dispatching worker's placement mask — the condition under which a waiting
+// split chunk yields its dispatch slot (Config.Preempt). One pass over the
+// queue, O(queue), with no placement-row search per entry.
+func (l *Live) hasUrgentWhole(here []bool, tDisp float64, prio int) bool {
 	for i := range l.queue {
-		if l.queue[i].prio > prio && l.queue[i].arrival <= tDisp && placedOn(l.st.asg, l.queue[i].model, w) {
+		if e := &l.queue[i]; e.prio > prio && e.arrival <= tDisp && here[e.model] {
 			return true
 		}
 	}

@@ -6,6 +6,7 @@
 package perf
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/fleet"
@@ -24,8 +25,9 @@ type Case struct {
 }
 
 const (
-	replayRequests = 4096
-	fleetRequests  = 512
+	replayRequests      = 4096
+	fleetRequests       = 512
+	elasticLongRequests = 4096
 )
 
 // Cases returns the hot-path suite the perf gate tracks: the two simulator
@@ -41,6 +43,7 @@ func Cases() []Case {
 		{Name: "ReplayHotPath", ReqsPerIter: replayRequests, Bench: ReplayHotPath},
 		{Name: "FleetServe", ReqsPerIter: fleetRequests, Bench: FleetServe},
 		{Name: "ElasticServe", ReqsPerIter: fleetRequests, Bench: ElasticServe},
+		{Name: "ElasticLongServe", ReqsPerIter: elasticLongRequests, Bench: ElasticLongServe},
 		{Name: "CacheDispatch", ReqsPerIter: 1, Bench: CacheDispatch},
 		{Name: "TuneSerial", Bench: TuneSerial},
 		{Name: "TuneParallel", Bench: TuneParallel},
@@ -224,4 +227,69 @@ func ElasticServe(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// ElasticLongServe measures the elastic pool over a long autoscaling
+// history: 4096 requests in bursts far above the pool's capacity separated
+// by quiet stretches far below it, so the autoscaler grows the pool from two
+// workers toward eight and drains it back every cycle — hundreds of scale
+// events per run. Worker ids are never reused, so the session ends with
+// hundreds of mostly retired slots; this case pins that the engine's
+// per-event cost does not grow with them.
+func ElasticLongServe(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	reqs := make([]fleet.Request, elasticLongRequests)
+	at := 0.0
+	for i := range reqs {
+		if i%128 < 96 {
+			at += rng.ExpFloat64() / 12000 // burst: ~3x two workers' capacity
+		} else {
+			at += rng.ExpFloat64() / 300 // quiet: the pool drains back to Min
+		}
+		r := fleet.Request{Arrival: at, Size: 32 + rng.Intn(224)}
+		if rng.Float64() < 0.4 {
+			r.Model, r.Tenant = 1, 1
+			if rng.Float64() < 0.15 {
+				r.Size = 1024
+			}
+		}
+		reqs[i] = r
+	}
+	tenants := []fleet.TenantSpec{
+		{Name: "hi", Priority: 1, Deadline: 0.004},
+		{Name: "lo", Priority: 0, Deadline: 0.002},
+	}
+	sizeSvc := func(per float64) trace.TimedServiceFunc {
+		return func(_ float64, size int) (float64, error) { return float64(size) * per, nil }
+	}
+	classScale := []float64{1, 0.5}
+	models := []fleet.Model{
+		{Name: "a", Service: sizeSvc(4e-6), ClassScale: classScale},
+		{Name: "b", Service: sizeSvc(2e-6), ClassScale: classScale},
+	}
+	p, err := fleet.NewPool(fleet.Config{
+		Queue: trace.QueuePolicy{
+			Workers: 2, QueueDepth: 96,
+			Policy: trace.DegradeSplitTail, SplitCap: 256,
+		},
+		Preempt:       true,
+		WorkerClasses: []int{0, 0},
+		ClassNames:    []string{"V100", "A100"},
+		Autoscale: &fleet.AutoscaleConfig{
+			Every: 0.002, Max: 8, ScaleOutLag: 0.001, Class: 1,
+		},
+	}, models, tenants)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rep *fleet.Report
+	for i := 0; i < b.N; i++ {
+		if rep, err = p.Serve(reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	b.ReportMetric(float64(len(rep.Metrics.ScaleEvents)), "scale-events")
 }

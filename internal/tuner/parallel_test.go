@@ -12,25 +12,35 @@ import (
 	"repro/internal/sched"
 )
 
-// countingSched wraps a schedule and counts Plan calls.
+// countingSched wraps a schedule and counts Plan calls. With a non-nil
+// gate, every Plan call first waits for the gate to close.
 type countingSched struct {
 	sched.Schedule
 	calls *atomic.Int64
+	gate  <-chan struct{}
 }
 
 func (c countingSched) Plan(w *sched.Workload, dev *gpusim.Device, l2 sched.L2Context) (*sched.Plan, error) {
+	if c.gate != nil {
+		<-c.gate
+	}
 	c.calls.Add(1)
 	return c.Schedule.Plan(w, dev, l2)
 }
 
-// failingSched wraps a schedule and fails every Plan call.
+// failingSched wraps a schedule and fails every Plan call, running fail (if
+// set) first.
 type failingSched struct {
 	sched.Schedule
 	calls *atomic.Int64
+	fail  func()
 }
 
 func (f failingSched) Plan(*sched.Workload, *gpusim.Device, sched.L2Context) (*sched.Plan, error) {
 	f.calls.Add(1)
+	if f.fail != nil {
+		f.fail()
+	}
 	return nil, errors.New("injected plan failure")
 }
 
@@ -48,18 +58,35 @@ func TestLocalStageCancelsOnFirstError(t *testing.T) {
 	// Feature 1's only candidate fails instantly; every other feature gets
 	// its normal candidate set wrapped with a call counter. Feature 1
 	// appears early in job order, so with cancellation only a small prefix
-	// of the (occupancy × feature) grid may ever plan.
+	// of the (occupancy × feature) grid may ever plan. Features past 1 wait
+	// on a gate the failing plan closes, as TestRunJobsDeterministicError
+	// gates runJobs: no worker can race ahead through later jobs before the
+	// failure, so the plan-call bound holds under any goroutine schedule.
+	// Feature 0 stays ungated: job 0 must finish for job 1 to matter, and its
+	// later-occupancy jobs sit behind the gated ones in dispatch order.
 	var planCalls, failCalls atomic.Int64
-	for f := range model.Candidates {
-		if f == 1 {
-			model.Candidates[f] = []sched.Schedule{failingSched{model.Candidates[f][0], &failCalls}}
-			continue
+	var gate chan struct{}
+	var closeGate sync.Once
+	candidates := model.Candidates
+	wrap := func() {
+		gate = make(chan struct{})
+		closeGate = sync.Once{}
+		model.Candidates = make([][]sched.Schedule, len(candidates))
+		for f := range candidates {
+			if f == 1 {
+				model.Candidates[f] = []sched.Schedule{failingSched{candidates[f][0], &failCalls, func() { closeGate.Do(func() { close(gate) }) }}}
+				continue
+			}
+			var g <-chan struct{}
+			if f > 1 {
+				g = gate
+			}
+			wrapped := make([]sched.Schedule, len(candidates[f]))
+			for ci, s := range candidates[f] {
+				wrapped[ci] = countingSched{s, &planCalls, g}
+			}
+			model.Candidates[f] = wrapped
 		}
-		wrapped := make([]sched.Schedule, len(model.Candidates[f]))
-		for ci, s := range model.Candidates[f] {
-			wrapped[ci] = countingSched{s, &planCalls}
-		}
-		model.Candidates[f] = wrapped
 	}
 
 	occupancies := []int{1, 2, 4, 8}
@@ -68,6 +95,7 @@ func TestLocalStageCancelsOnFirstError(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		for _, par := range []int{1, 4} {
 			planCalls.Store(0)
+			wrap()
 			_, err := Tune(dev, model, batches, Options{Occupancies: occupancies, Parallelism: par})
 			if err == nil {
 				t.Fatal("injected failure did not surface")
