@@ -30,12 +30,25 @@
 // remainder is charged through uvmcache.PCIePenalty. The analytic expectation
 // keeps the per-dispatch cost O(features x log rows) and allocation-free —
 // the same style of closed-form accounting the rest of the simulator uses.
+// Each phase's bucket weights are computed once, by New; a phase change or a
+// Reset copies them.
+//
+// # Eviction cost
+//
+// A touch is two stores (recency and reference bit) under every policy. LRU
+// eviction sorts a dispatch's candidates once, on its first eviction —
+// O(B log B) for B buckets — and every further eviction of that dispatch
+// takes the next one in O(1), so a dispatch that evicts nothing pays nothing
+// and one that evicts k buckets pays one sort instead of k full scans. CLOCK
+// advances its hand; re-tiering stable-sorts every bucket by heat per byte
+// without allocating.
 package emcache
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/uvmcache"
@@ -176,6 +189,9 @@ type modelState struct {
 	profile ModelProfile
 	phase   int
 	f0, fn  int // feature index range in Tier.feats
+	// weights holds each phase's Zipf access weights of the model's buckets
+	// (indexed from the model's first bucket), computed once by New.
+	weights [][]float64
 }
 
 // GroupStats is the per-model or per-tenant cache accounting of one session.
@@ -253,6 +269,12 @@ type Tier struct {
 
 	scratch []int // fill candidates of the current dispatch
 	order   []int // retier sort scratch
+
+	// lru is the current dispatch's LRU eviction order, built by its first
+	// eviction; lruNext indexes the next victim. Dispatch sets lruNext to
+	// -1 (not built) on entry.
+	lru     []int
+	lruNext int
 }
 
 // New validates the configuration, computes the initial frequency-optimal
@@ -335,6 +357,16 @@ func New(cfg Config) (*Tier, error) {
 			t.feats = append(t.feats, fs)
 		}
 		ms.fn = len(t.feats)
+		b0 := t.feats[ms.f0].b0
+		for _, ph := range mp.Phases {
+			w := make([]float64, len(t.buckets)-b0)
+			for bi := range w {
+				b := &t.buckets[b0+bi]
+				fh := ph.Features[b.feature-ms.f0]
+				w[bi] = uvmcache.ZipfBucketMass(b.lo, b.hi, fh.Rows, fh.Skew)
+			}
+			ms.weights = append(ms.weights, w)
+		}
 		t.models = append(t.models, ms)
 	}
 
@@ -342,8 +374,11 @@ func New(cfg Config) (*Tier, error) {
 	t.perTenant = make([]GroupStats, cfg.Tenants)
 	t.scratch = make([]int, 0, len(t.buckets))
 	t.order = make([]int, len(t.buckets))
+	t.lru = make([]int, 0, len(t.buckets))
 
-	t.applyPhases()
+	for m := range t.models {
+		t.applyPhase(m)
+	}
 	t.allocateInitial()
 	t.Reset()
 	return t, nil
@@ -364,21 +399,30 @@ func (t *Tier) Budget() int64 { return t.cfg.BudgetBytes }
 // Occupied returns the resident bytes right now.
 func (t *Tier) Occupied() int64 { return t.occupied }
 
-// applyPhases recomputes every feature's current-phase heat and its buckets'
-// Zipf access weights from the models' phase positions.
-func (t *Tier) applyPhases() {
-	for m := range t.models {
-		ms := &t.models[m]
-		ph := ms.profile.Phases[ms.phase]
-		for fi := ms.f0; fi < ms.fn; fi++ {
-			fs := &t.feats[fi]
-			fs.heat = ph.Features[fi-ms.f0]
-			for bi := fs.b0; bi < fs.bn; bi++ {
-				b := &t.buckets[bi]
-				b.weight = uvmcache.ZipfBucketMass(b.lo, b.hi, fs.heat.Rows, fs.heat.Skew)
-			}
-		}
+// applyPhase installs model m's current-phase heat and bucket weights.
+func (t *Tier) applyPhase(m int) {
+	ms := &t.models[m]
+	ph := ms.profile.Phases[ms.phase]
+	b0 := t.feats[ms.f0].b0
+	for fi := ms.f0; fi < ms.fn; fi++ {
+		t.feats[fi].heat = ph.Features[fi-ms.f0]
 	}
+	for bi, w := range ms.weights[ms.phase] {
+		t.buckets[b0+bi].weight = w
+	}
+}
+
+// descending is the comparator of a stable sort by decreasing key. Only
+// its sign against zero is read, and that matches the predicate x > y
+// exactly, NaN keys included.
+func descending(x, y float64) int {
+	switch {
+	case x > y:
+		return -1
+	case x < y:
+		return 1
+	}
+	return 0
 }
 
 // allocateInitial computes the static frequency-optimal residency: greedy by
@@ -393,8 +437,8 @@ func (t *Tier) allocateInitial() {
 		b := &t.buckets[bi]
 		return t.feats[b.feature].heat.RowsPerSample * b.weight / float64(b.bytes)
 	}
-	sort.SliceStable(t.order, func(a, b int) bool {
-		return density(t.order[a]) > density(t.order[b])
+	slices.SortStableFunc(t.order, func(a, b int) int {
+		return descending(density(a), density(b))
 	})
 	var occ int64
 	for _, bi := range t.order {
@@ -423,8 +467,8 @@ func (t *Tier) Reset() {
 	}
 	for m := range t.models {
 		t.models[m].phase = 0
+		t.applyPhase(m)
 	}
-	t.applyPhases()
 	t.occupied = t.initOcc
 	t.hand = 0
 	t.started = false
@@ -453,6 +497,7 @@ func (t *Tier) Dispatch(model, tenant int, now float64, size int) float64 {
 	if model < 0 || model >= len(t.models) || tenant < 0 || tenant >= len(t.perTenant) || size <= 0 {
 		return 0
 	}
+	t.lruNext = -1
 	if !t.started {
 		t.started = true
 		t.lastRet = now
@@ -530,17 +575,8 @@ func (t *Tier) advancePhase(model int, now float64) {
 		ms.phase++
 		moved = true
 	}
-	if !moved {
-		return
-	}
-	ph := ms.profile.Phases[ms.phase]
-	for fi := ms.f0; fi < ms.fn; fi++ {
-		fs := &t.feats[fi]
-		fs.heat = ph.Features[fi-ms.f0]
-		for bi := fs.b0; bi < fs.bn; bi++ {
-			b := &t.buckets[bi]
-			b.weight = uvmcache.ZipfBucketMass(b.lo, b.hi, fs.heat.Rows, fs.heat.Skew)
-		}
+	if moved {
+		t.applyPhase(model)
 	}
 }
 
@@ -575,17 +611,15 @@ func (t *Tier) admit(bi int, now float64, model int) {
 func (t *Tier) victim(now float64) int {
 	switch t.cfg.Policy {
 	case PolicyLRU:
-		best, bestLast := -1, math.Inf(1)
-		for i := range t.buckets {
-			b := &t.buckets[i]
-			if !b.resident || b.last >= now {
-				continue
-			}
-			if b.last < bestLast {
-				best, bestLast = i, b.last
-			}
+		if t.lruNext < 0 {
+			t.buildLRU(now)
 		}
-		return best
+		if t.lruNext == len(t.lru) {
+			return -1
+		}
+		v := t.lru[t.lruNext]
+		t.lruNext++
+		return v
 	case PolicyClock:
 		n := len(t.buckets)
 		for pass := 0; pass < 2*n; pass++ {
@@ -606,6 +640,29 @@ func (t *Tier) victim(now float64) int {
 	return -1
 }
 
+// buildLRU orders the dispatch's eviction candidates — resident buckets not
+// touched at now — least recently touched first, ties to the lower bucket
+// index. Popping this order reproduces a fresh minimum scan per eviction
+// because nothing else changes the candidate set while the dispatch is
+// evicting: phase advance and re-tiering have already run, every fill is a
+// bucket the dispatch touched (last == now, protected), and each eviction
+// removes exactly the candidate it popped.
+func (t *Tier) buildLRU(now float64) {
+	t.lru = t.lru[:0]
+	for i := range t.buckets {
+		if b := &t.buckets[i]; b.resident && b.last < now {
+			t.lru = append(t.lru, i)
+		}
+	}
+	slices.SortFunc(t.lru, func(a, b int) int {
+		if c := cmp.Compare(t.buckets[a].last, t.buckets[b].last); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	t.lruNext = 0
+}
+
 // retier re-runs the budget allocator from observed heat: the accumulated
 // window mass folds into the EWMA heat, and residency is reassigned greedily
 // by heat per byte — the online, measurement-driven analogue of the initial
@@ -623,9 +680,9 @@ func (t *Tier) retier(now float64) {
 	for i := range t.order {
 		t.order[i] = i
 	}
-	sort.SliceStable(t.order, func(a, b int) bool {
-		x, y := &t.buckets[t.order[a]], &t.buckets[t.order[b]]
-		return x.heat/float64(x.bytes) > y.heat/float64(y.bytes)
+	slices.SortStableFunc(t.order, func(a, b int) int {
+		x, y := &t.buckets[a], &t.buckets[b]
+		return descending(x.heat/float64(x.bytes), y.heat/float64(y.bytes))
 	})
 	var occ int64
 	for _, bi := range t.order {

@@ -272,15 +272,21 @@ func TestResetReplaysIdentically(t *testing.T) {
 }
 
 func TestDispatchZeroAllocs(t *testing.T) {
-	tier := mustTier(t, driftConfig(PolicyLRU, 0))
-	now := 0.0
-	step := func() {
-		tier.Dispatch(0, 0, now, 64)
-		now += 0.1
-	}
-	step() // warm
-	if avg := testing.AllocsPerRun(200, step); avg != 0 {
-		t.Fatalf("Dispatch allocates %.1f allocs/op in steady state, want 0", avg)
+	// Retier 0.05 re-tiers on every 0.1-spaced dispatch.
+	for _, retier := range []float64{0, 0.05} {
+		tier := mustTier(t, driftConfig(PolicyLRU, retier))
+		now := 0.0
+		step := func() {
+			tier.Dispatch(0, 0, now, 64)
+			now += 0.1
+		}
+		step() // warm
+		if avg := testing.AllocsPerRun(200, step); avg != 0 {
+			t.Fatalf("retier=%g: Dispatch allocates %.1f allocs/op in steady state, want 0", retier, avg)
+		}
+		if s := tier.Snapshot(); s.Evictions == 0 || (retier > 0 && s.Retiers < 200) {
+			t.Fatalf("retier=%g: %d evictions, %d retiers; eviction or re-tiering not exercised", retier, s.Evictions, s.Retiers)
+		}
 	}
 }
 

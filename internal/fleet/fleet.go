@@ -309,6 +309,7 @@ func (p *Pool) Serve(reqs []Request) (*Report, error) {
 	}
 	sorted, order := arrivalOrder(reqs)
 	l := p.Begin()
+	l.reserve(len(sorted))
 	for i := range sorted {
 		if _, _, err := l.Admit(sorted[i]); err != nil {
 			l.Abort()

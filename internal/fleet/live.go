@@ -214,6 +214,18 @@ func (l *Live) Abort() {
 // Admitted returns the number of requests admitted so far (including sheds).
 func (l *Live) Admitted() int { return len(l.reqs) }
 
+// reserve sizes the per-admission slices for n admissions, so a session
+// whose length is known up front (Pool.Serve) never regrows them.
+func (l *Live) reserve(n int) {
+	l.reqs = make([]Request, 0, n)
+	l.sojourn = make([]float64, 0, n)
+	l.dispatch = make([]float64, 0, n)
+	l.service = make([]float64, 0, n)
+	l.worker = make([]int, 0, n)
+	l.outcome = make([]Outcome, 0, n)
+	l.gens = make([]int, 0, n)
+}
+
 // Err returns the sticky engine error, nil while the session is healthy.
 // Validation rejections from Admit are not sticky and never show up here.
 func (l *Live) Err() error { return l.err }

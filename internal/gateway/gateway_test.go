@@ -141,15 +141,28 @@ func TestGatewaySessionReplaysBitIdentically(t *testing.T) {
 		Queue: trace.QueuePolicy{Workers: 2, QueueDepth: 3},
 	}, models, tenants)
 
+	// The clock is frozen while a burst is admitted, so all ten arrivals
+	// land at one simulated time whatever the goroutine launch latency (the
+	// race detector slows launches enough to drain a wall-clock burst), and
+	// the depth-3 queue and the quota-capped tenant overflow every burst.
 	var log bytes.Buffer
-	g, err := gateway.New(gateway.Config{Pool: pool, Warp: 20000, Session: &log})
+	fc := newFakeClock()
+	g, err := gateway.New(gateway.Config{Pool: pool, Warp: 20000, Clock: fc, Session: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
 
 	// Open-loop load: each request is its own goroutine, so in-flight count
-	// is unbounded and the depth-3 queue and tenant quota genuinely fill.
-	const total = 100
+	// is unbounded.
+	const total, burst = 100, 10
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	outcomes := make(map[fleet.Outcome]int)
@@ -171,13 +184,25 @@ func TestGatewaySessionReplaysBitIdentically(t *testing.T) {
 			outcomes[ev.Outcome]++
 			mu.Unlock()
 		}(i, 1+rng.Intn(64))
-		// Bursty launches: ten near-simultaneous arrivals per lull, so the
-		// depth-3 queue and the quota-capped tenant overflow for real.
-		if i%10 == 9 {
-			time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+		// A lull after each burst releases the replies paced within it.
+		if i%burst == burst-1 {
+			waitFor("the burst's admissions", func() bool { return g.Stats().Admitted == i+1 })
+			fc.advance(time.Duration(rng.Intn(200)) * time.Microsecond)
 		}
 	}
-	wg.Wait()
+	// Keep the clock moving until every paced reply is out. The pump arms a
+	// fresh timer after each pass, so one advance may land before it does.
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	waitFor("every reply", func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			fc.advance(time.Millisecond)
+			return false
+		}
+	})
 
 	liveRep, err := g.Close()
 	if err != nil {
