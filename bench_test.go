@@ -200,6 +200,8 @@ func BenchmarkTuneSerial(b *testing.B) { perf.TuneSerial(b) }
 
 func BenchmarkTuneParallel(b *testing.B) { perf.TuneParallel(b) }
 
+func BenchmarkTuneCold(b *testing.B) { perf.TuneCold(b) }
+
 func BenchmarkRetuneWarm(b *testing.B) { perf.RetuneWarm(b) }
 
 func BenchmarkPoolingReference(b *testing.B) {

@@ -220,9 +220,24 @@ func TestSimulateMatchesGoldens(t *testing.T) {
 // TestSimulatorRunSteadyStateAllocFree pins the tentpole's allocation claim:
 // after a warm-up run, re-running a kernel on a reused Simulator allocates
 // nothing — including the saturated grid whose retire/backfill loop used to
-// reallocate the resident array on every backfilled dispatch.
+// reallocate the resident array on every backfilled dispatch. The same holds
+// for a stepped run that asks for tag bounds between steps.
 func TestSimulatorRunSteadyStateAllocFree(t *testing.T) {
 	d := V100()
+	lower := make([]float64, 16)
+	pending := make([]int, 16)
+	stepped := func(sim *Simulator, k *Kernel) {
+		if err := sim.Start(d, k); err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		for more := true; more; {
+			sim.TagBounds(lower, pending)
+			var err error
+			if more, err = sim.Step(); err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
+			}
+		}
+	}
 	for _, k := range goldenKernels() {
 		sim := NewSimulator()
 		if _, err := sim.Run(d, k); err != nil {
@@ -235,6 +250,11 @@ func TestSimulatorRunSteadyStateAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: steady-state Run allocates %.1f objects/run, want 0", k.Name, allocs)
+		}
+		stepped(sim, k)
+		allocs = testing.AllocsPerRun(10, func() { stepped(sim, k) })
+		if allocs != 0 {
+			t.Errorf("%s: steady-state Start/Step/TagBounds loop allocates %.1f objects/run, want 0", k.Name, allocs)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package gpusim
 
 import "math"
 
-// computeRates fills in the drain rates of every resident block from the
-// current contention state. Three shared resources are modeled:
+// computeRatesFusedDT fills in the drain rates of every resident block from
+// the current contention state. Three shared resources are modeled:
 //
 //   - SM issue slots: each SM issues IssueSlotsPerSM warp instructions per
 //     cycle, shared among resident warps in proportion to warp count, with a
@@ -11,32 +11,28 @@ import "math"
 //     cannot saturate an SM: compute also rewards occupancy.
 //   - DRAM bandwidth: processor-shared across all blocks with remaining DRAM
 //     work, each capped by its latency-hiding ceiling
-//     warps·MemParallelism·reqBytes/latency. Low-occupancy kernels become
-//     latency-bound long before they are bandwidth-bound.
+//     warps·MemParallelism·reqBytes/latency (latencyCap). Low-occupancy
+//     kernels become latency-bound long before they are bandwidth-bound.
 //   - L2 bandwidth: same model with the L2 latency and bandwidth.
 //
 // Unclaimed bandwidth from capped blocks is redistributed (water-filling), so
 // a single memory-hungry schedule in a fused kernel can slow its neighbors —
 // the inter-feature resource contention of the paper's §II-C.
-func computeRates(d *Device, st *simState) {
-	computeRatesFused(d, st)
-}
-
-// computeRatesFused is computeRatesFusedDT for callers that do not need the
-// next-event time.
-func computeRatesFused(d *Device, st *simState) {
-	computeRatesFusedDT(d, st)
-}
-
-// computeRatesFusedDT recomputes every rate in one pass over the residents:
-// issue-slot shares are written and both memory demand sets collected as the
-// scan goes, then each resource is water-filled over its set. Behaviorally
-// identical to computeIssueRates followed by one shareBandwidth per kind —
-// demand entries are emitted in the same slot order, so the fills run the
-// same rounds — but the three scans over the resident array collapse into
-// one. Each kind has its own demand and keep scratch (demandIdx/keepIdx vs
-// demandIdx2/keepIdx2) because both demand sets are alive at once here and
-// the water-fill ping-pongs a set between its two backings.
+//
+// All rates are recomputed in one pass over the residents: issue-slot shares
+// are written and both memory demand sets collected as the scan goes, then
+// each resource is water-filled over its set. Demand entries are emitted in
+// slot order, so each fill runs the same rounds as a shareBandwidth call on
+// the same state. Each kind has its own demand and keep scratch
+// (demandIdx/keepIdx vs demandIdx2/keepIdx2) because both demand sets are
+// alive at once here and the water-fill ping-pongs a set between its two
+// backings.
+//
+// The per-SM warp totals st.smWarps that issue shares divide by are
+// maintained incrementally by the dispatch and retire paths rather than
+// recomputed here. Warp counts are integer-valued, so the running
+// totals are exact in float64 no matter the order blocks come and go in —
+// identical to a fresh sum over the residents.
 //
 // The returned dt is the earliest stream finish time at the new rates —
 // +Inf when every stream is stalled. Each stream's finish time is taken the
@@ -47,10 +43,8 @@ func computeRatesFused(d *Device, st *simState) {
 func computeRatesFusedDT(d *Device, st *simState) float64 {
 	sw := st.smWarps
 	issuePeak := float64(d.IssueSlotsPerSM)
-	dramScale := d.MemParallelism * d.ClockHz / d.DRAMLatencyCycles
-	l2Scale := d.MemParallelism * d.ClockHz / d.L2LatencyCycles
-	dramFallback := d.DRAMBandwidth / float64(d.NumSMs*d.MaxBlocksPerSM)
-	l2Fallback := d.L2Bandwidth / float64(d.NumSMs*d.MaxBlocksPerSM)
+	dramBW, dramScale, dramFallback := memParams(d, memDRAM)
+	l2BW, l2Scale, l2Fallback := memParams(d, memL2)
 
 	dIdx := st.demandIdx[:cap(st.demandIdx)]
 	dCaps := st.demandCap[:cap(st.demandCap)]
@@ -75,10 +69,7 @@ func computeRatesFusedDT(d *Device, st *simState) float64 {
 			}
 		}
 		if rb.remDRAM > simEps {
-			c := m.capFactor * dramScale
-			if c <= 0 {
-				c = dramFallback
-			}
+			c := latencyCap(m.capFactor, dramScale, dramFallback)
 			dIdx[nd], dCaps[nd] = int32(i), c
 			nd++
 			if c < dMin {
@@ -86,10 +77,7 @@ func computeRatesFusedDT(d *Device, st *simState) float64 {
 			}
 		}
 		if rb.remL2 > simEps {
-			c := m.capFactor * l2Scale
-			if c <= 0 {
-				c = l2Fallback
-			}
+			c := latencyCap(m.capFactor, l2Scale, l2Fallback)
 			lIdx[nl], lCaps[nl] = int32(i), c
 			nl++
 			if c < lMin {
@@ -97,35 +85,9 @@ func computeRatesFusedDT(d *Device, st *simState) float64 {
 			}
 		}
 	}
-	waterFill(st, memDRAM, dIdx[:nd], dCaps[:nd], dMin, st.keepIdx[:0], d.DRAMBandwidth, &dt)
-	waterFill(st, memL2, lIdx[:nl], lCaps[:nl], lMin, st.keepIdx2[:0], d.L2Bandwidth, &dt)
+	waterFill(st, memDRAM, dIdx[:nd], dCaps[:nd], dMin, st.keepIdx[:0], dramBW, &dt)
+	waterFill(st, memL2, lIdx[:nl], lCaps[:nl], lMin, st.keepIdx2[:0], l2BW, &dt)
 	return dt
-}
-
-// computeIssueRates fills in the SM issue-slot shares (and resets the memory
-// rates that shareBandwidth assigns next). Issue shares depend only on which
-// blocks are resident where, so the event loop skips this whole pass — and
-// leaves the bit-identical previous rates in place — on events that retired
-// and dispatched nothing.
-//
-// st.smWarps is maintained incrementally by the dispatch and retire paths
-// rather than recomputed here. Warp counts are integer-valued, so the running
-// totals are exact in float64 no matter the order blocks come and go in —
-// identical to a fresh sum over the residents.
-func computeIssueRates(d *Device, st *simState) {
-	sw := st.smWarps
-	issuePeak := float64(d.IssueSlotsPerSM)
-	for i := range st.active {
-		m := &st.meta[i]
-		rate := m.warps * d.PerWarpIssue
-		if share := issuePeak * m.warps / sw[m.sm]; share < rate {
-			rate = share
-		}
-		rb := &st.active[i]
-		rb.rateComp = rate * d.ClockHz
-		rb.rateDRAM = 0
-		rb.rateL2 = 0
-	}
 }
 
 type memKind int
@@ -135,20 +97,37 @@ const (
 	memL2
 )
 
+// memParams returns one memory kind's bandwidth and the two constants of its
+// per-block latency cap: the scale that turns a block's cap factor (warps ×
+// mean request bytes) into bytes per second, and the fallback cap.
+func memParams(d *Device, kind memKind) (bw, capScale, fallback float64) {
+	latency := d.DRAMLatencyCycles
+	bw = d.DRAMBandwidth
+	if kind == memL2 {
+		latency = d.L2LatencyCycles
+		bw = d.L2Bandwidth
+	}
+	return bw, d.MemParallelism * d.ClockHz / latency, bw / float64(d.NumSMs*d.MaxBlocksPerSM)
+}
+
+// latencyCap is a block's latency-hiding memory rate cap: the requests its
+// warps keep in flight, each covering the kind's latency. A block whose cap
+// factor is not positive gets the fallback, an even split of the bandwidth
+// over the device's block slots.
+func latencyCap(capFactor, capScale, fallback float64) float64 {
+	c := capFactor * capScale
+	if c <= 0 {
+		c = fallback
+	}
+	return c
+}
+
 // shareBandwidth water-fills one memory resource across the blocks that still
 // demand it, using the preallocated scratch in st. The event loop calls this
 // on events where only this kind's demand set changed; full recomputations go
-// through computeRatesFused instead.
+// through computeRatesFusedDT instead.
 func shareBandwidth(d *Device, st *simState, kind memKind) {
-	var bw, latency float64
-	switch kind {
-	case memDRAM:
-		bw, latency = d.DRAMBandwidth, d.DRAMLatencyCycles
-	case memL2:
-		bw, latency = d.L2Bandwidth, d.L2LatencyCycles
-	}
-	capScale := d.MemParallelism * d.ClockHz / latency
-	fallbackCap := bw / float64(d.NumSMs*d.MaxBlocksPerSM)
+	bw, capScale, fallback := memParams(d, kind)
 
 	idx := st.demandIdx[:cap(st.demandIdx)]
 	caps := st.demandCap[:cap(st.demandCap)]
@@ -163,10 +142,7 @@ func shareBandwidth(d *Device, st *simState, kind memKind) {
 		if rem <= simEps {
 			continue
 		}
-		c := st.meta[i].capFactor * capScale
-		if c <= 0 {
-			c = fallbackCap
-		}
+		c := latencyCap(st.meta[i].capFactor, capScale, fallback)
 		idx[n] = int32(i)
 		caps[n] = c
 		n++

@@ -60,7 +60,7 @@ func TestWaterFillingConservationProperty(t *testing.T) {
 			}
 		}
 		st, _ := buildState(d, blocks)
-		computeRates(d, st)
+		computeRatesFusedDT(d, st)
 		var sumDRAM, sumL2 float64
 		for i := range st.active {
 			rb := &st.active[i]
@@ -104,7 +104,7 @@ func TestWaterFillingWorkConserving(t *testing.T) {
 		}
 	}
 	st, _ := buildState(d, blocks)
-	computeRates(d, st)
+	computeRatesFusedDT(d, st)
 	var sum float64
 	for i := range st.active {
 		sum += st.active[i].rateDRAM
@@ -124,7 +124,7 @@ func TestWaterFillingRedistribution(t *testing.T) {
 		{CompCycles: 1, DRAMBytes: 1 << 20, MemRequests: 1, Warps: 8, ActiveFrac: 1},
 	}
 	st, _ := buildState(d, blocks)
-	computeRates(d, st)
+	computeRatesFusedDT(d, st)
 	capped := st.active[0].rateDRAM
 	uncapped := st.active[1].rateDRAM
 	fair := d.DRAMBandwidth / 2
@@ -142,7 +142,7 @@ func TestComputeIssueShares(t *testing.T) {
 	d := V100()
 	lone := []BlockWork{{CompCycles: 1000, Warps: 1, ActiveFrac: 1}}
 	st, _ := buildState(d, lone)
-	computeRates(d, st)
+	computeRatesFusedDT(d, st)
 	want := d.PerWarpIssue * d.ClockHz
 	if math.Abs(st.active[0].rateComp-want) > 1e-6*want {
 		t.Errorf("lone warp rate %g, want per-warp ceiling %g", st.active[0].rateComp, want)
@@ -159,7 +159,7 @@ func TestComputeIssueShares(t *testing.T) {
 	st2.smWarps[st2.meta[1].sm] -= st2.meta[1].warps
 	st2.meta[1].sm = st2.meta[0].sm
 	st2.smWarps[st2.meta[1].sm] += st2.meta[1].warps
-	computeRates(d, st2)
+	computeRatesFusedDT(d, st2)
 	r0, r1 := st2.active[0].rateComp, st2.active[1].rateComp
 	if math.Abs(r1/r0-3) > 1e-9 {
 		t.Errorf("issue shares %g:%g, want 1:3", r0, r1)

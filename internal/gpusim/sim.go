@@ -22,8 +22,10 @@ type SimResult struct {
 	BlockSM    []int32
 
 	// TagTime sums BlockTime over blocks sharing a non-negative Tag. The
-	// tuner's local stage reads per-candidate sums from here; the fusion
-	// compiler reads per-feature sums.
+	// tuner's local stage tags blocks by candidate and scores candidates
+	// from here; fused kernels tag blocks by feature, and recflex-inspect
+	// prints those per-feature sums. The fusion compiler itself never
+	// reads it.
 	TagTime map[int]float64
 
 	// TagBlocks counts blocks per non-negative tag.
@@ -95,16 +97,23 @@ type launchWork struct {
 
 // Simulator owns the reusable working set of the kernel simulation: the
 // resident-block scratch, the per-SM load tables and the result buffers.
-// After a warm-up run, Run allocates nothing in steady state, so tuners and
+// After a warm-up run, a run allocates nothing in steady state, so tuners and
 // serving loops that simulate thousands of kernels back to back reuse one
 // Simulator instead of re-growing the same slices every call.
 //
+// A run can also be driven one scheduling event at a time: Start launches the
+// kernel, each Step processes one event, and Result reports the outcome once
+// Step says the grid has drained. Run is exactly that loop. Between steps,
+// Now reports the simulated time and TagBounds bounds every tag's final
+// TagTime from below, which lets a caller comparing tags stop a run whose
+// outcome is already decided.
+//
 // A Simulator is not safe for concurrent use; give each goroutine its own.
 //
-// Run assumes the Device and Kernel it is given are not mutated between calls
-// that reuse them: when the same device and kernel (by identity) are passed
-// again, validation and the grid-constant counter sums are reused from the
-// previous call instead of being recomputed.
+// Start assumes the Device and Kernel it is given are not mutated between
+// calls that reuse them: when the same device and kernel (by identity) are
+// passed again, validation and the grid-constant counter sums are reused from
+// the previous call instead of being recomputed.
 type Simulator struct {
 	st  simState
 	res SimResult
@@ -119,9 +128,18 @@ type Simulator struct {
 	sums       threadSums
 	launch     []launchWork // per-block dispatch image, derived once per kernel
 	tags       []int        // per-block tag, densely packed for the retire path
+
+	// State of the run between Start and the step that drains the grid.
+	dev                          *Device
+	kernel                       *Kernel
+	next                         int // next grid block to dispatch
+	dramDemand, l2Demand         int // residents with DRAM / L2 work left
+	resDirty, dramDirty, l2Dirty bool
+	now                          float64
+	acct                         counterAccum
 }
 
-// NewSimulator returns a Simulator with empty scratch; the first Run sizes
+// NewSimulator returns a Simulator with empty scratch; the first Start sizes
 // it to the kernel at hand.
 func NewSimulator() *Simulator { return &Simulator{} }
 
@@ -140,21 +158,40 @@ func Simulate(d *Device, k *Kernel) (*SimResult, error) {
 	return new(Simulator).Run(d, k)
 }
 
-// Run is Simulate over the Simulator's reusable scratch. The returned
-// SimResult is owned by the Simulator and overwritten by the next Run;
-// callers that retain it across runs must copy what they keep. On error the
-// result buffers hold no meaningful data.
+// Run is Simulate over the Simulator's reusable scratch: Start, then Step
+// until the grid drains. The returned SimResult is owned by the Simulator and
+// overwritten by the next run; callers that retain it across runs must copy
+// what they keep. On error the result buffers hold no meaningful data.
 func (s *Simulator) Run(d *Device, k *Kernel) (*SimResult, error) {
+	if err := s.Start(d, k); err != nil {
+		return nil, err
+	}
+	for {
+		more, err := s.Step()
+		if err != nil {
+			return nil, err
+		}
+		if !more {
+			return s.Result(), nil
+		}
+	}
+}
+
+// Start validates kernel k against device d, resets the result buffers and
+// launches the grid: the initial round-robin fill of the SMs at t=0. No block
+// has drained yet; Step advances the run.
+func (s *Simulator) Start(d *Device, k *Kernel) error {
+	s.st.active = s.st.active[:0] // a failed Start leaves nothing to step
 	var blocksID *BlockWork
 	if len(k.Blocks) > 0 {
 		blocksID = &k.Blocks[0]
 	}
 	if d != s.lastDev || k != s.lastKernel || blocksID != s.lastBlocks || len(k.Blocks) != s.lastNB {
 		if err := d.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := k.Validate(d); err != nil {
-			return nil, err
+			return err
 		}
 		s.sums = gridThreadSums(d, k)
 		if cap(s.launch) < len(k.Blocks) {
@@ -187,7 +224,7 @@ func (s *Simulator) Run(d *Device, k *Kernel) (*SimResult, error) {
 	bps := k.EffectiveBlocksPerSM(d)
 	slots := d.ParallelBlockSlots(bps)
 	if slots <= 0 {
-		return nil, fmt.Errorf("gpusim: kernel %q has zero parallel block slots", k.Name)
+		return fmt.Errorf("gpusim: kernel %q has zero parallel block slots", k.Name)
 	}
 	nb := len(k.Blocks)
 	if slots > nb {
@@ -196,7 +233,7 @@ func (s *Simulator) Run(d *Device, k *Kernel) (*SimResult, error) {
 
 	res := &s.res
 	res.Time = 0
-	// Every entry of the per-block buffers is written before the loop exits
+	// Every entry of the per-block buffers is written before the run ends
 	// (each block dispatches exactly once and retires exactly once), so the
 	// reused backing needs no zeroing.
 	res.BlockTime = growFloats(res.BlockTime, nb)
@@ -226,7 +263,6 @@ func (s *Simulator) Run(d *Device, k *Kernel) (*SimResult, error) {
 		st.demandCap2 = make([]float64, 0, slots)
 		st.keepIdx2 = make([]int32, 0, slots)
 	}
-	st.active = st.active[:0]
 	st.meta = st.meta[:0]
 	st.smWarps = growFloats(st.smWarps, d.NumSMs)
 	if cap(st.smLoad) < d.NumSMs {
@@ -237,48 +273,18 @@ func (s *Simulator) Run(d *Device, k *Kernel) (*SimResult, error) {
 		st.smLoad[i] = 0
 		st.smWarps[i] = 0
 	}
-	next := 0
-	launch := s.launch
-	tags := s.tags
-	// dramDemand/l2Demand count the residents with any work remaining —
-	// strictly positive, so a zero count proves every remainder is exactly
-	// zero. That lets the event loop skip a bandwidth re-share whose demand
-	// set is empty, and skip that stream's drain arithmetic outright: with no
-	// positive remainder, both passes are exact no-ops.
-	dramDemand, l2Demand := 0, 0
-	// dispatchInto constructs the next grid block directly in resident slot w
-	// — at launch the next free entry of the active array, at backfill time
-	// the slot just vacated by a retirement — so the hot loop never appends
-	// to (and never reallocates) the array it is iterating. Field-wise stores
-	// throughout: the slot is written in place, with no struct temporary on
-	// the way in.
-	dispatchInto := func(w, sm int, now float64) {
-		lw := &launch[next]
-		rb := &st.active[w]
-		rb.remComp = lw.comp
-		rb.remDRAM = lw.dram
-		rb.remL2 = lw.l2
-		rb.rateComp = 0
-		rb.rateDRAM = 0
-		rb.rateL2 = 0
-		m := &st.meta[w]
-		m.idx = int32(next)
-		m.sm = int32(sm)
-		m.warps = lw.warps
-		m.capFactor = lw.capFactor
-		m.start = now
-		if lw.dram > 0 {
-			dramDemand++
-		}
-		if lw.l2 > 0 {
-			l2Demand++
-		}
-		st.smLoad[sm]++
-		st.smWarps[sm] += lw.warps
-		res.BlockStart[next] = now
-		res.BlockSM[next] = int32(sm)
-		next++
-	}
+	s.dev, s.kernel = d, k
+	s.next = 0
+	s.dramDemand, s.l2Demand = 0, 0
+	// Rate recomputation is demand-driven: issue-slot shares change only
+	// when residency changes, and a memory resource's water-filling shares
+	// change only when its demand set does. Events that merely advance
+	// still-draining streams skip the corresponding passes — the rates left
+	// in place are bit-identical to what recomputation would produce, so
+	// results are unchanged; only redundant work is elided.
+	s.resDirty, s.dramDirty, s.l2Dirty = true, true, true
+	s.now = 0
+	s.acct = counterAccum{}
 
 	// Initial round-robin fill, mirroring the hardware's launch-time
 	// distribution of blocks across SMs. Capacity slots was reserved above,
@@ -286,160 +292,324 @@ func (s *Simulator) Run(d *Device, k *Kernel) (*SimResult, error) {
 	// (The wrap is an add-and-compare rather than a modulo: this loop runs
 	// once per launched block, and integer division is serialized on the
 	// loop-carried sm.)
-	for sm := 0; next < nb && len(st.active) < slots; {
+	for sm := 0; s.next < nb && len(st.active) < slots; {
 		if st.smLoad[sm] < bps {
 			n := len(st.active)
 			st.active = st.active[:n+1]
 			st.meta = st.meta[:n+1]
-			dispatchInto(n, sm, 0)
+			s.dispatchInto(n, sm, 0)
 		}
 		if sm++; sm == d.NumSMs {
 			sm = 0
 		}
 	}
+	return nil
+}
 
-	now := 0.0
-	var acct counterAccum
-	// Rate recomputation is demand-driven: issue-slot shares change only
-	// when residency changes, and a memory resource's water-filling shares
-	// change only when its demand set does. Events that merely advance
-	// still-draining streams skip the corresponding passes — the rates left
-	// in place are bit-identical to what recomputation would produce, so
-	// results are unchanged; only redundant work is elided.
-	resDirty, dramDirty, l2Dirty := true, true, true
-	for len(st.active) > 0 {
-		// Earliest dimension completion among residents: freed bandwidth is
-		// redistributed when a stream ends. Near-simultaneous completions are
-		// batched into one event (eventBatchTol) — a bounded approximation
-		// that collapses the event storm of large heterogeneous grids.
-		//
-		// A full recomputation event gets the minimum as a byproduct of the
-		// fused rate pass; events that reuse rates run the explicit scan. The
-		// per-dimension comparisons are open-coded because this is the widest
-		// scan of the event loop, and a dimension with zero outstanding demand
-		// is skipped wholesale — its clause would be false for every block.
-		var dt float64
-		if resDirty {
-			dt = computeRatesFusedDT(d, st)
-		} else {
-			if dramDirty && dramDemand > 0 {
-				shareBandwidth(d, st, memDRAM)
-			}
-			if l2Dirty && l2Demand > 0 {
-				shareBandwidth(d, st, memL2)
-			}
-			dt = math.Inf(1)
-			scanDRAM, scanL2 := dramDemand > 0, l2Demand > 0
-			for i := range st.active {
-				rb := &st.active[i]
-				if rb.remComp > simEps && rb.rateComp > 0 {
-					if ft := rb.remComp / rb.rateComp; ft < dt {
-						dt = ft
-					}
-				}
-				if scanDRAM && rb.remDRAM > simEps && rb.rateDRAM > 0 {
-					if ft := rb.remDRAM / rb.rateDRAM; ft < dt {
-						dt = ft
-					}
-				}
-				if scanL2 && rb.remL2 > simEps && rb.rateL2 > 0 {
-					if ft := rb.remL2 / rb.rateL2; ft < dt {
-						dt = ft
-					}
-				}
-			}
-		}
-		resDirty, dramDirty, l2Dirty = false, false, false
-		if math.IsInf(dt, 1) || dt < 0 {
-			return nil, fmt.Errorf("gpusim: kernel %q stalled at t=%gs with %d resident blocks", k.Name, now, len(st.active))
-		}
-		dt *= 1 + eventBatchTol
-		now += dt
+// dispatchInto constructs the next grid block directly in resident slot w —
+// at launch the next free entry of the active array, at backfill time the
+// slot just vacated by a retirement — so the event loop never appends to (and
+// never reallocates) the array it is iterating. Field-wise stores throughout:
+// the slot is written in place, with no struct temporary on the way in.
+//
+// dramDemand/l2Demand count the residents with any work remaining — strictly
+// positive, so a zero count proves every remainder is exactly zero. That
+// lets Step skip a bandwidth re-share whose demand set is empty, and skip
+// that stream's drain arithmetic outright: with no positive remainder, both
+// passes are exact no-ops.
+func (s *Simulator) dispatchInto(w, sm int, now float64) {
+	st := &s.st
+	next := s.next
+	lw := &s.launch[next]
+	rb := &st.active[w]
+	rb.remComp = lw.comp
+	rb.remDRAM = lw.dram
+	rb.remL2 = lw.l2
+	rb.rateComp = 0
+	rb.rateDRAM = 0
+	rb.rateL2 = 0
+	m := &st.meta[w]
+	m.idx = int32(next)
+	m.sm = int32(sm)
+	m.warps = lw.warps
+	m.capFactor = lw.capFactor
+	m.start = now
+	if lw.dram > 0 {
+		s.dramDemand++
+	}
+	if lw.l2 > 0 {
+		s.l2Demand++
+	}
+	st.smLoad[sm]++
+	st.smWarps[sm] += lw.warps
+	s.res.BlockStart[next] = now
+	s.res.BlockSM[next] = int32(sm)
+	s.next = next + 1
+}
 
-		// One fused scan: drain each block (integrating the traffic actually
-		// moved — exact even when the batched step overshoots a stream's
-		// remaining work), then retire it if fully drained and backfill its
-		// slot in place. A write index compacts survivors leftward, and a
-		// retirement with grid blocks remaining constructs the backfilled
-		// block directly in the freed slot. Processing stays in grid-slot
-		// order — same retirement order, same TagTime accumulation order,
-		// same dispatch order as the append-based form this replaces — but
-		// the resident array is never appended to mid-iteration, where the
-		// old form reallocated it on every backfill once at capacity.
-		var dramMoved, l2Moved float64
-		// A memory stream with zero outstanding demand needs no drain at all:
-		// every remainder is exactly zero, so the arithmetic below would move
-		// nothing and change nothing. The gates are loop-invariant (frozen at
-		// loop entry; blocks backfilled mid-scan are never drained in the same
-		// event), so a finished stream costs one predictable branch per block.
-		doDRAM, doL2 := dramDemand > 0, l2Demand > 0
-		w := 0
-		n0 := len(st.active)
-		for i := 0; i < n0; i++ {
+// Now returns the simulated time of the run: zero after Start, the time of
+// the last processed event after each Step.
+func (s *Simulator) Now() float64 { return s.now }
+
+// Result returns the run's outcome. It is complete once Step has reported
+// that the grid drained. While the run is in progress it holds what has
+// happened so far: the dispatched blocks' BlockStart and BlockSM, the retired
+// blocks' BlockTime, and TagTime and TagBlocks over the retired blocks; Time
+// and Counters are set by the step that drains the grid. The buffers are
+// owned by the Simulator and overwritten by the next Start.
+func (s *Simulator) Result() *SimResult { return &s.res }
+
+// Step processes one scheduling event: it advances time to the next stream
+// completion, drains every resident block, retires the drained ones and
+// backfills their slots. It reports whether blocks remain in flight; the
+// step that drains the grid finalizes the result and returns false, as does
+// any later call. An error (a stalled kernel) ends the run.
+func (s *Simulator) Step() (more bool, err error) {
+	st := &s.st
+	if len(st.active) == 0 {
+		return false, nil
+	}
+	d := s.dev
+	res := &s.res
+	tags := s.tags
+	nb := len(s.launch)
+	resDirty, dramDirty, l2Dirty := s.resDirty, s.dramDirty, s.l2Dirty
+
+	// Earliest dimension completion among residents: freed bandwidth is
+	// redistributed when a stream ends. Near-simultaneous completions are
+	// batched into one event (eventBatchTol) — a bounded approximation that
+	// collapses the event storm of large heterogeneous grids.
+	//
+	// A full recomputation event gets the minimum as a byproduct of the fused
+	// rate pass; events that reuse rates run the explicit scan. The
+	// per-dimension comparisons are open-coded because this is the widest
+	// scan of the event loop, and a dimension with zero outstanding demand is
+	// skipped wholesale — its clause would be false for every block.
+	var dt float64
+	if resDirty {
+		dt = computeRatesFusedDT(d, st)
+	} else {
+		if dramDirty && s.dramDemand > 0 {
+			shareBandwidth(d, st, memDRAM)
+		}
+		if l2Dirty && s.l2Demand > 0 {
+			shareBandwidth(d, st, memL2)
+		}
+		dt = math.Inf(1)
+		scanDRAM, scanL2 := s.dramDemand > 0, s.l2Demand > 0
+		for i := range st.active {
 			rb := &st.active[i]
-			rb.remComp = drain(rb.remComp, rb.rateComp, dt)
-			if doDRAM {
-				before := rb.remDRAM
-				rb.remDRAM = drain(before, rb.rateDRAM, dt)
-				dramMoved += before - rb.remDRAM
-				if before > simEps && rb.remDRAM <= simEps {
-					dramDirty = true // DRAM stream ended: re-share its bandwidth
-				}
-				if before > 0 && rb.remDRAM == 0 {
-					dramDemand--
+			if rb.remComp > simEps && rb.rateComp > 0 {
+				if ft := rb.remComp / rb.rateComp; ft < dt {
+					dt = ft
 				}
 			}
-			if doL2 {
-				before := rb.remL2
-				rb.remL2 = drain(before, rb.rateL2, dt)
-				l2Moved += before - rb.remL2
-				if before > simEps && rb.remL2 <= simEps {
-					l2Dirty = true
-				}
-				if before > 0 && rb.remL2 == 0 {
-					l2Demand--
+			if scanDRAM && rb.remDRAM > simEps && rb.rateDRAM > 0 {
+				if ft := rb.remDRAM / rb.rateDRAM; ft < dt {
+					dt = ft
 				}
 			}
-			if rb.remComp <= simEps && rb.remDRAM <= simEps && rb.remL2 <= simEps {
-				m := &st.meta[i]
-				bt := now - m.start
-				res.BlockTime[m.idx] = bt
-				if tag := tags[m.idx]; tag >= 0 {
-					res.TagTime[tag] += bt
-					res.TagBlocks[tag]++
+			if scanL2 && rb.remL2 > simEps && rb.rateL2 > 0 {
+				if ft := rb.remL2 / rb.rateL2; ft < dt {
+					dt = ft
 				}
-				sm := int(m.sm)
-				st.smLoad[sm]--
-				st.smWarps[sm] -= m.warps
-				resDirty = true
-				if next < nb {
-					// The retiring block's fields are fully consumed; when
-					// w == i this overwrites the slots rb and m point into.
-					// The fresh block is dispatched at now and not drained
-					// until the next event, exactly as with the separate
-					// drain and retire scans.
-					dispatchInto(w, sm, now)
-					w++
-				}
-			} else {
-				if w != i {
-					st.active[w] = *rb
-					st.meta[w] = st.meta[i]
-				}
+			}
+		}
+	}
+	resDirty, dramDirty, l2Dirty = false, false, false
+	if math.IsInf(dt, 1) || dt < 0 {
+		n := len(st.active)
+		st.active = st.active[:0]
+		return false, fmt.Errorf("gpusim: kernel %q stalled at t=%gs with %d resident blocks", s.kernel.Name, s.now, n)
+	}
+	dt *= 1 + eventBatchTol
+	now := s.now + dt
+	s.now = now
+
+	// One fused scan: drain each block (integrating the traffic actually
+	// moved — exact even when the batched step overshoots a stream's
+	// remaining work), then retire it if fully drained and backfill its slot
+	// in place. A write index compacts survivors leftward, and a retirement
+	// with grid blocks remaining constructs the backfilled block directly in
+	// the freed slot. Processing stays in grid-slot order — same retirement
+	// order, same TagTime accumulation order, same dispatch order as the
+	// append-based form this replaces — but the resident array is never
+	// appended to mid-iteration, where the old form reallocated it on every
+	// backfill once at capacity.
+	var dramMoved, l2Moved float64
+	// A memory stream with zero outstanding demand needs no drain at all:
+	// every remainder is exactly zero, so the arithmetic below would move
+	// nothing and change nothing. The gates are loop-invariant (frozen at
+	// loop entry; blocks backfilled mid-scan are never drained in the same
+	// event), so a finished stream costs one predictable branch per block.
+	doDRAM, doL2 := s.dramDemand > 0, s.l2Demand > 0
+	w := 0
+	n0 := len(st.active)
+	for i := 0; i < n0; i++ {
+		rb := &st.active[i]
+		rb.remComp = drain(rb.remComp, rb.rateComp, dt)
+		if doDRAM {
+			before := rb.remDRAM
+			rb.remDRAM = drain(before, rb.rateDRAM, dt)
+			dramMoved += before - rb.remDRAM
+			if before > simEps && rb.remDRAM <= simEps {
+				dramDirty = true // DRAM stream ended: re-share its bandwidth
+			}
+			if before > 0 && rb.remDRAM == 0 {
+				s.dramDemand--
+			}
+		}
+		if doL2 {
+			before := rb.remL2
+			rb.remL2 = drain(before, rb.rateL2, dt)
+			l2Moved += before - rb.remL2
+			if before > simEps && rb.remL2 <= simEps {
+				l2Dirty = true
+			}
+			if before > 0 && rb.remL2 == 0 {
+				s.l2Demand--
+			}
+		}
+		if rb.remComp <= simEps && rb.remDRAM <= simEps && rb.remL2 <= simEps {
+			m := &st.meta[i]
+			bt := now - m.start
+			res.BlockTime[m.idx] = bt
+			if tag := tags[m.idx]; tag >= 0 {
+				res.TagTime[tag] += bt
+				res.TagBlocks[tag]++
+			}
+			sm := int(m.sm)
+			st.smLoad[sm]--
+			st.smWarps[sm] -= m.warps
+			resDirty = true
+			if s.next < nb {
+				// The retiring block's fields are fully consumed; when
+				// w == i this overwrites the slots rb and m point into.
+				// The fresh block is dispatched at now and not drained
+				// until the next event, exactly as with the separate
+				// drain and retire scans.
+				s.dispatchInto(w, sm, now)
 				w++
 			}
+		} else {
+			if w != i {
+				st.active[w] = *rb
+				st.meta[w] = st.meta[i]
+			}
+			w++
 		}
-		st.active = st.active[:w]
-		st.meta = st.meta[:w]
-		acct.observe(dramMoved, l2Moved, dt)
+	}
+	st.active = st.active[:w]
+	st.meta = st.meta[:w]
+	s.acct.observe(dramMoved, l2Moved, dt)
+	s.resDirty, s.dramDirty, s.l2Dirty = resDirty, dramDirty, l2Dirty
+	if w > 0 {
+		return true, nil
 	}
 
 	res.Time = now
-	if k.IncludeLaunchOverhead {
+	if s.kernel.IncludeLaunchOverhead {
 		res.Time += d.KernelLaunchOverhead
 	}
-	res.Counters = acct.finalize(d, res.Time, s.sums)
-	return res, nil
+	res.Counters = s.acct.finalize(d, res.Time, s.sums)
+	return false, nil
+}
+
+// TagBounds writes into lower[t], for every tag t in [0, len(lower)), a lower
+// bound on the TagTime[t] the run will end with, and into pending[t] the
+// number of tag-t blocks that have not retired yet; pending must be at least
+// as long as lower. Tags outside that range are ignored. A tag with no
+// pending blocks gets its final TagTime exactly.
+//
+// The bound adds to the retired blocks' sum, for each resident block, its
+// elapsed time plus its remaining work over its rate ceilings, and for each
+// undispatched block, its whole work over its ceilings. A block's ceilings
+// are min(warps·PerWarpIssue, IssueSlotsPerSM)·ClockHz for issue and, for
+// each memory kind, the smaller of its latency cap and the kind's bandwidth:
+// no rate the event loop assigns exceeds them (rates.go), and event batching
+// only ever delays a retirement. Since the work of a block's streams drains
+// concurrently, its time is bounded by the slowest stream's. Valid at any
+// point after a successful Start, including after the grid drained.
+func (s *Simulator) TagBounds(lower []float64, pending []int) {
+	pending = pending[:len(lower)]
+	for t := range lower {
+		lower[t] = 0
+		pending[t] = 0
+	}
+	st := &s.st
+	tags := s.tags
+	now := s.now
+	c := newCeilings(s.dev)
+	for i := range st.active {
+		m := &st.meta[i]
+		t := tags[m.idx]
+		if uint(t) >= uint(len(lower)) {
+			continue
+		}
+		rb := &st.active[i]
+		lower[t] += now - m.start + c.drainBound(rb.remComp, rb.remDRAM, rb.remL2, m.warps, m.capFactor)
+		pending[t]++
+	}
+	for i := s.next; i < len(s.launch); i++ {
+		if t := tags[i]; uint(t) < uint(len(lower)) {
+			lw := &s.launch[i]
+			lower[t] += c.drainBound(lw.comp, lw.dram, lw.l2, lw.warps, lw.capFactor)
+			pending[t]++
+		}
+	}
+	for t := range lower {
+		lower[t] = s.res.TagTime[t] + lower[t]
+	}
+}
+
+// ceilings holds a device's per-block rate ceilings in the form drainBound
+// reads them: the issue constants, and each memory kind's bandwidth and
+// latency-cap constants (memParams).
+type ceilings struct {
+	perWarpIssue, issuePeak, clockHz float64
+	dramBW, dramScale, dramFallback  float64
+	l2BW, l2Scale, l2Fallback        float64
+}
+
+func newCeilings(d *Device) ceilings {
+	c := ceilings{perWarpIssue: d.PerWarpIssue, issuePeak: float64(d.IssueSlotsPerSM), clockHz: d.ClockHz}
+	c.dramBW, c.dramScale, c.dramFallback = memParams(d, memDRAM)
+	c.l2BW, c.l2Scale, c.l2Fallback = memParams(d, memL2)
+	return c
+}
+
+// drainBound is the least time in which a block with the given remaining
+// work can drain it: each stream needs its remainder (less the event
+// epsilon, below which a stream counts as drained) over its rate ceiling,
+// and the block retires only when its slowest stream does.
+func (c *ceilings) drainBound(comp, dram, l2, warps, capFactor float64) float64 {
+	t := 0.0
+	if comp > simEps {
+		issue := warps * c.perWarpIssue
+		if c.issuePeak < issue {
+			issue = c.issuePeak
+		}
+		t = (comp - simEps) / (issue * c.clockHz)
+	}
+	if dram > simEps {
+		ceil := latencyCap(capFactor, c.dramScale, c.dramFallback)
+		if c.dramBW < ceil {
+			ceil = c.dramBW
+		}
+		if v := (dram - simEps) / ceil; v > t {
+			t = v
+		}
+	}
+	if l2 > simEps {
+		ceil := latencyCap(capFactor, c.l2Scale, c.l2Fallback)
+		if c.l2BW < ceil {
+			ceil = c.l2BW
+		}
+		if v := (l2 - simEps) / ceil; v > t {
+			t = v
+		}
+	}
+	return t
 }
 
 // growFloats returns s resized to n, reallocating only when capacity is

@@ -103,6 +103,25 @@ func TuneParallel(b *testing.B) {
 	}
 }
 
+// TuneCold measures the configuration every core.RecFlex.Tune caller gets by
+// default: the fleet-speed engine with no memo, no pruning and no warm start,
+// over every occupancy level the model's widest block admits (up to eight).
+// Its local stage stops each feature's co-execution simulations once the
+// winning schedule is proven, and that saving grows with occupancy, so the
+// derived levels, not the three of the other tuner cases, are the fixture.
+func TuneCold(b *testing.B) {
+	dev := gpusim.V100()
+	model, batches := tuneFixture(b)
+	opts := tuner.Options{Parallelism: 4}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tuner.Tune(dev, model, batches, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // RetuneWarm measures the fleet steady state: a re-tune warm-started from the
 // incumbent result against a memo populated by a previous tune of the same
 // window, the configuration core.ServeContinuous/ServeFleet run re-tunes in.

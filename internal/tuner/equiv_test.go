@@ -57,11 +57,19 @@ func resultsBitIdentical(t *testing.T, label string, want, got *Result) {
 // fleet-speed engine: across seeded models and datasets, the parallel tuner
 // with pruning off returns a bit-identical Result — Choices, ChoiceIdx,
 // Occupancy, Latency and PerOccupancy order — to the reference serial Tune,
-// at any worker count, with or without the shared memo cache.
+// at any worker count, with or without the shared memo cache. Without the
+// memo the local stage stops simulating once each feature's winner is proven
+// (tuneFeatureBounded); the runs must really stop early, with two and with
+// three tuning batches.
 func TestParallelTuneBitIdenticalToSerial(t *testing.T) {
 	dev := gpusim.V100()
-	for _, seed := range []int64{77, 1234, 9001} {
-		model, batches, _ := buildTuneModel(t, 2, 2, 128, seed)
+	cases := []struct {
+		seed     int64
+		nbatches int
+	}{{77, 2}, {1234, 2}, {9001, 2}, {77, 3}}
+	for _, tc := range cases {
+		seed := tc.seed
+		model, batches, _ := buildTuneModel(t, 2, tc.nbatches, 128, seed)
 		opts := Options{Occupancies: []int{1, 2, 4, 8}, Parallelism: 1}
 		want, err := TuneSerial(dev, model, batches, opts)
 		if err != nil {
@@ -70,11 +78,19 @@ func TestParallelTuneBitIdenticalToSerial(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			o := opts
 			o.Parallelism = par
+			early := earlyStops.Load()
 			got, err := Tune(dev, model, batches, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resultsBitIdentical(t, labelSeedPar("parallel", seed, par), want, got)
+			label := fmt.Sprintf("parallel/batches=%d/seed=%d/par=%d", tc.nbatches, seed, par)
+			resultsBitIdentical(t, label, want, got)
+			if earlyStops.Load() == early {
+				t.Errorf("%s: no local-stage job stopped early", label)
+			}
+		}
+		if tc.nbatches != 2 {
+			continue // the memo checks below run on the two-batch seeds
 		}
 
 		// Memoized runs are bit-identical too: a cold-cache run and a

@@ -17,12 +17,17 @@ import (
 // batches (Equation 5: the winner minimizes summed time over sampled data).
 //
 // This is the fleet-speed engine: both stages run on a shared worker pool
-// (Options.Parallelism) with cancellation on first error, and three optional
-// accelerations trade none of the final measurement's exactness — the global
-// stage always reports true fused latencies:
+// (Options.Parallelism) with cancellation on first error. Without a memo the
+// exhaustive local stage is branch-and-bound (tuneFeatureBounded): each
+// feature's co-execution simulations stop once its winning schedule is
+// provable from gpusim's tag bounds, which selects exactly the schedule the
+// full simulations would. Three optional accelerations trade none of the
+// final measurement's exactness — the global stage always reports true fused
+// latencies:
 //
 //   - Options.Memo serves repeated simulations from a shared cache;
-//     hits are bit-identical to fresh runs.
+//     hits are bit-identical to fresh runs. Cached per-batch scores must be
+//     complete, so with a memo every local-stage simulation runs to the end.
 //   - Options.Prune replaces the exhaustive local stage with successive
 //     halving: one cheap co-scheduled pass over all features ranks every
 //     candidate, the best half per feature is re-scored on the full block
@@ -98,7 +103,13 @@ func Tune(dev *gpusim.Device, model *Model, batches []*embedding.Batch, opts Opt
 		}
 		err = runJobs(len(occupancies)*nf, o.Parallelism, func(i int) error {
 			k, f := i/nf, i%nf
-			idx, err := tuneFeature(dev, model, f, occupancies[k], warpsPerBlock, ws, l2, pool, o, o.Memo, fps)
+			var idx int
+			var err error
+			if o.Memo == nil {
+				idx, err = tuneFeatureBounded(dev, model, f, occupancies[k], warpsPerBlock, ws, l2, pool, o)
+			} else {
+				idx, err = tuneFeature(dev, model, f, occupancies[k], warpsPerBlock, ws, l2, pool, o, o.Memo, fps)
+			}
 			switch {
 			case errors.Is(err, errInfeasible):
 				infeasibleOcc[k].Store(true)

@@ -18,12 +18,14 @@
 //
 // Two engines implement the search. Tune (parallel.go) is the production
 // engine: it runs both stages on a shared worker pool with deterministic
-// error selection, and optionally prunes with successive halving
+// error selection, stops each feature's local-stage simulations once the
+// winner is proven (local.go), and optionally prunes with successive halving
 // (Options.Prune), warm-starts from an incumbent result (Options.Warm), and
 // serves repeated simulations from a shared cache (Options.Memo). With all
 // of those off, Tune returns a bit-identical Result to TuneSerial — the
-// frozen reference engine kept as the equivalence oracle and benchmark
-// baseline (see the equivalence property tests).
+// frozen reference engine, which runs every simulation to completion, kept
+// as the equivalence oracle and benchmark baseline (see the equivalence
+// property tests).
 //
 // The straw-man separate-combine tuner of §II-C (tune each feature's latency
 // in isolation, no padding, no occupancy control) lives in separate.go and
