@@ -198,8 +198,6 @@ func BenchmarkCacheDispatch(b *testing.B) { perf.CacheDispatch(b) }
 
 func BenchmarkTuneSerial(b *testing.B) { perf.TuneSerial(b) }
 
-func BenchmarkTuneParallel(b *testing.B) { perf.TuneParallel(b) }
-
 func BenchmarkTuneCold(b *testing.B) { perf.TuneCold(b) }
 
 func BenchmarkRetuneWarm(b *testing.B) { perf.RetuneWarm(b) }

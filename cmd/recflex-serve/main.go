@@ -64,8 +64,8 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"reflect"
 	"os/signal"
+	"reflect"
 	"strconv"
 	"strings"
 	"syscall"
@@ -74,8 +74,8 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/datasynth"
-	"repro/internal/emcache"
 	"repro/internal/embedding"
+	"repro/internal/emcache"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/fusion"
@@ -134,6 +134,55 @@ type options struct {
 	serveDur      float64
 	session       string
 	replaySession string
+
+	// queuePolicy is the engine queue policy built from -gpus, -queue,
+	// -deadline and -degrade and validated by parseFlags.
+	queuePolicy trace.QueuePolicy
+}
+
+// generator builds the request-stream generator config from the flags.
+func (o *options) generator(seed int64) trace.GeneratorConfig {
+	return trace.GeneratorConfig{
+		QPS: o.qps, MaxBatch: splitCap, TailProb: o.tailProb,
+		TailSize: datasynth.LongTailRequest, Seed: seed,
+	}
+}
+
+// buildQueuePolicy builds the engine queue policy from the flags. The
+// single-model engine defaults to split-tail and always carries the split
+// cap. The fleet pool serves admitted requests to completion by default
+// (-degrade shed switches to dispatch-time deadline shedding) and arms the
+// split-at-cap fallback only under -degrade split-tail.
+func (o *options) buildQueuePolicy() (trace.QueuePolicy, error) {
+	q := trace.QueuePolicy{
+		Workers:    o.gpus,
+		QueueDepth: o.queue,
+		Deadline:   o.deadline * 1e-3,
+		Policy:     trace.DegradeSplitTail,
+		SplitCap:   splitCap,
+	}
+	if o.models != "" {
+		q.Policy = trace.DegradeServe
+	}
+	if o.degrade != "" {
+		p, err := trace.ParseDegradePolicy(o.degrade)
+		if err != nil {
+			return q, err
+		}
+		q.Policy = p
+	}
+	if o.models != "" && q.Policy != trace.DegradeSplitTail {
+		q.SplitCap = 0
+	}
+	return q, q.Validate()
+}
+
+// supervisor builds the continuous serving loop's supervisor config.
+func (o *options) supervisor() trace.SupervisorConfig {
+	return trace.SupervisorConfig{
+		Server: o.queuePolicy, Window: 32, CheckEvery: 16,
+		CanaryWindow: o.canary, RollbackMargin: o.margin,
+	}
 }
 
 // parseFlags binds the flag set to an options struct. Usage and parse errors
@@ -187,17 +236,11 @@ func parseFlags(args []string, w io.Writer) (*options, error) {
 	if o.gpus <= 0 {
 		return nil, fmt.Errorf("-gpus must be positive, got %d", o.gpus)
 	}
-	if o.queue < 0 {
-		return nil, fmt.Errorf("-queue must be >= 0 (0 = unbounded), got %d", o.queue)
-	}
 	if o.requests <= 0 {
 		return nil, fmt.Errorf("-requests must be positive, got %d", o.requests)
 	}
 	if o.scale <= 0 {
 		return nil, fmt.Errorf("-scale must be positive, got %d", o.scale)
-	}
-	if o.qps <= 0 {
-		return nil, fmt.Errorf("-qps must be positive, got %g", o.qps)
 	}
 	if !(o.warp > 0) || math.IsInf(o.warp, 0) {
 		return nil, fmt.Errorf("-warp must be positive and finite, got %g", o.warp)
@@ -205,10 +248,41 @@ func parseFlags(args []string, w io.Writer) (*options, error) {
 	if o.serveDur < 0 {
 		return nil, fmt.Errorf("-serve-duration must be >= 0, got %g", o.serveDur)
 	}
-	// Cache-tier flags: every rejection happens here at the flag boundary, not
-	// after minutes of model tuning inside buildFleetSetup.
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// Build the engine configs the run will use and let their own Validate
+	// methods judge them, so a bad value fails here, before any model is
+	// tuned, by the same rule the engine applies.
+	gen := o.generator(0)
+	if err := gen.Validate(); err != nil {
+		return nil, fmt.Errorf("-qps/-tail: %w", err)
+	}
+	var err error
+	if o.queuePolicy, err = o.buildQueuePolicy(); err != nil {
+		return nil, fmt.Errorf("-queue/-deadline/-degrade: %w", err)
+	}
+	switch {
+	case !(o.drift >= 0) || math.IsInf(o.drift, 0):
+		return nil, fmt.Errorf("-drift must be finite and >= 0 (0 = steady workload), got %g", o.drift)
+	case o.drift > 0 && o.models != "":
+		return nil, fmt.Errorf("-drift drives the single-model continuous serving loop; fleet and gateway modes serve fixed schedule sets (for drift and hot-swaps on a shared pool use recflex-bench -exp fleet or examples/fleet)")
+	case o.drift > 0:
+		if !(o.driftAt >= 0 && o.driftAt < 1) {
+			return nil, fmt.Errorf("-drift-at %g outside [0,1)", o.driftAt)
+		}
+		sup := o.supervisor()
+		if err := sup.Validate(); err != nil {
+			return nil, fmt.Errorf("-canary/-rollback-margin: %w", err)
+		}
+	default:
+		for _, f := range []string{"drift-at", "canary", "rollback-margin"} {
+			if set[f] {
+				return nil, fmt.Errorf("-%s shapes the drift loop that -drift never starts; set -drift > 0", f)
+			}
+		}
+	}
+	// Cache-tier flags: every rejection happens here at the flag boundary, not
+	// after minutes of model tuning inside buildFleetSetup.
 	if set["cache-budget"] && (!(o.cacheBudget > 0) || math.IsInf(o.cacheBudget, 0)) {
 		return nil, fmt.Errorf("-cache-budget must be positive and finite MiB, got %g", o.cacheBudget)
 	}
@@ -413,30 +487,14 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	reqs, err := trace.Generate(o.requests, trace.GeneratorConfig{
-		QPS: o.qps, MaxBatch: splitCap, TailProb: o.tailProb,
-		TailSize: datasynth.LongTailRequest, Seed: cfg.Seed ^ 0x5E17E,
-	})
+	reqs, err := trace.Generate(o.requests, o.generator(cfg.Seed^0x5E17E))
 	if err != nil {
 		return err
-	}
-	policy := trace.DegradeSplitTail
-	if o.degrade != "" {
-		if policy, err = trace.ParseDegradePolicy(o.degrade); err != nil {
-			return err
-		}
-	}
-	srvCfg := trace.ServerConfig{
-		Workers:    o.gpus,
-		QueueDepth: o.queue,
-		Deadline:   o.deadline * 1e-3,
-		SplitCap:   splitCap,
-		Policy:     policy,
 	}
 	if o.drift > 0 {
 		fmt.Fprintf(w, "continuous serving: %d requests at %.0f qps on %dx %s/%s (%d features, %.1f%% long tail)\n",
 			len(reqs), o.qps, o.gpus, dev.Name, cfg.Name, len(features), o.tailProb*100)
-		return runDrift(w, rf, cfg, reqs, srvCfg, o.drift, o.driftAt, o.canary, o.margin)
+		return runDrift(w, rf, cfg, reqs, o.supervisor(), o.drift, o.driftAt)
 	}
 	batches, err := prebuildBatches(cfg, reqs)
 	if err != nil {
@@ -454,7 +512,7 @@ func run(args []string, w io.Writer) error {
 		if sys.Supports(features) != nil {
 			continue
 		}
-		srv, err := trace.NewServer(srvCfg, serviceFor(sys, dev, features, batches))
+		srv, err := trace.NewServer(o.queuePolicy, serviceFor(sys, dev, features, batches))
 		if err != nil {
 			return err
 		}
@@ -587,15 +645,12 @@ func serviceFor(sys baselines.Baseline, dev *gpusim.Device, features []fusion.Fe
 }
 
 // runDrift replays a drifting trace through the continuous serving loop:
-// pooling factors scale by factor a fraction frac into the trace, the
-// supervisor detects the shift online, re-tunes in the background on one of
+// pooling factors scale by factor a fraction frac (in [0,1), checked by
+// parseFlags) into the trace, the supervisor detects the shift online, re-tunes in the background on one of
 // the simulated-GPU worker slots and hot-swaps the fresh schedule set —
 // admission never pauses. The same trace replayed with the schedules frozen
 // gives the stale baseline the post-swap latency split is measured against.
-func runDrift(w io.Writer, rf *core.RecFlex, cfg *datasynth.ModelConfig, reqs []trace.Request, srvCfg trace.ServerConfig, factor, frac float64, canary int, margin float64) error {
-	if frac < 0 || frac >= 1 {
-		return fmt.Errorf("drift-at %g outside [0,1)", frac)
-	}
+func runDrift(w io.Writer, rf *core.RecFlex, cfg *datasynth.ModelConfig, reqs []trace.Request, sup trace.SupervisorConfig, factor, frac float64) error {
 	// trace.Generate emits requests in arrival order, so the drift step lands
 	// at the chosen fraction of the stream.
 	at := reqs[int(frac*float64(len(reqs)))].Arrival
@@ -604,16 +659,13 @@ func runDrift(w io.Writer, rf *core.RecFlex, cfg *datasynth.ModelConfig, reqs []
 		return sched.BatchForSize(cfg, t, size)
 	}
 	opts := core.ContinuousOptions{
-		Supervisor: trace.SupervisorConfig{
-			Server: srvCfg, Window: 32, CheckEvery: 16,
-			CanaryWindow: canary, RollbackMargin: margin,
-		},
-		Quantum: sizeQuantum,
-		PhaseOf: sched.PhaseStart,
+		Supervisor: sup,
+		Quantum:    sizeQuantum,
+		PhaseOf:    sched.PhaseStart,
 	}
 	fmt.Fprintf(w, "drift: pooling factors x%g from t=%s\n", factor, report.FmtUS(at))
-	if canary > 0 {
-		fmt.Fprintf(w, "guarded promotion: canary window %d completions, rollback margin %.0f%%\n", canary, margin*100)
+	if sup.CanaryWindow > 0 {
+		fmt.Fprintf(w, "guarded promotion: canary window %d completions, rollback margin %.0f%%\n", sup.CanaryWindow, sup.RollbackMargin*100)
 	}
 	fmt.Fprintln(w)
 
@@ -775,20 +827,6 @@ func buildFleetSetup(o *options) (*fleetSetup, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The fleet default serves admitted requests to completion; -degrade shed
-	// switches to dispatch-time deadline shedding, -degrade split-tail arms
-	// the pool's split-at-cap fallback for long-tail requests.
-	policy := trace.DegradeServe
-	if o.degrade != "" {
-		if policy, err = trace.ParseDegradePolicy(o.degrade); err != nil {
-			return nil, err
-		}
-	}
-	splitBound := 0
-	if policy == trace.DegradeSplitTail {
-		splitBound = splitCap
-	}
-
 	s := &fleetSetup{tenants: tenants, strategy: strategy}
 	var reserves []int
 	if o.reserve != "" {
@@ -830,11 +868,7 @@ func buildFleetSetup(o *options) (*fleetSetup, error) {
 				return nil, fmt.Errorf("model %s: %w", name, err)
 			}
 		}
-		reqs, err := trace.Generate(o.requests, trace.GeneratorConfig{
-			QPS: o.qps, MaxBatch: splitCap, TailProb: o.tailProb,
-			TailSize: datasynth.LongTailRequest,
-			Seed:     cfg.Seed ^ 0x5E17E ^ int64(i+1)<<20,
-		})
+		reqs, err := trace.Generate(o.requests, o.generator(cfg.Seed^0x5E17E^int64(i+1)<<20))
 		if err != nil {
 			return nil, err
 		}
@@ -860,13 +894,7 @@ func buildFleetSetup(o *options) (*fleetSetup, error) {
 		s.streams = append(s.streams, fleet.Stream{Model: i, Tenant: i % len(tenants), Reqs: reqs})
 	}
 	s.cfg = fleet.Config{
-		Queue: trace.QueuePolicy{
-			Workers:    o.gpus,
-			QueueDepth: o.queue,
-			Deadline:   o.deadline * 1e-3,
-			Policy:     policy,
-			SplitCap:   splitBound,
-		},
+		Queue:         o.queuePolicy,
 		Placement:     strategy,
 		Admission:     admission,
 		ShedFraction:  o.shedFraction,
@@ -1013,9 +1041,6 @@ func fmtMiB(b int64) string { return fmt.Sprintf("%.2fMiB", float64(b)/(1<<20)) 
 // list; the merged stream replays under the configured admission policy and
 // placement strategy with per-model and per-tenant accounting.
 func runFleet(o *options, w io.Writer) error {
-	if o.drift > 0 {
-		return fmt.Errorf("fleet mode serves fixed schedule sets; for drift and hot-swaps on a shared pool use recflex-bench -exp fleet or examples/fleet")
-	}
 	s, err := buildFleetSetup(o)
 	if err != nil {
 		return err
@@ -1100,9 +1125,6 @@ func (s *fleetSetup) workerLabel(g int, m *fleet.Metrics) string {
 func runGateway(o *options, w io.Writer) error {
 	if o.models == "" {
 		return fmt.Errorf("-listen serves a shared fleet pool; pass -models (e.g. -models A,C)")
-	}
-	if o.drift > 0 {
-		return fmt.Errorf("gateway mode serves fixed schedule sets; -drift is a single-model batch-replay flag")
 	}
 	s, err := buildFleetSetup(o)
 	if err != nil {

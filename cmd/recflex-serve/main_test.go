@@ -235,6 +235,71 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// parseFlags builds the generator, queue and supervisor configs from the
+// flags and runs their own Validate methods, so each of these fails at
+// flag-parse time, before any model is tuned.
+func TestParseFlagsValidatesEngineConfigs(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-degrade", "gracefully"}, "unknown degrade policy"},
+		{[]string{"-models", "A", "-degrade", "gracefully"}, "unknown degrade policy"},
+		{[]string{"-tail", "2"}, "TailProb"},
+		{[]string{"-models", "A", "-tail", "-0.5"}, "TailProb"},
+		{[]string{"-deadline", "-1"}, "Deadline"},
+		{[]string{"-models", "A", "-deadline", "-1"}, "Deadline"},
+		{[]string{"-drift", "-1"}, "-drift must be"},
+		{[]string{"-drift", "NaN"}, "-drift must be"},
+		{[]string{"-drift", "2", "-drift-at", "1.5"}, "-drift-at"},
+		{[]string{"-drift", "2", "-drift-at", "-0.1"}, "-drift-at"},
+		{[]string{"-drift", "2", "-canary", "-1"}, "CanaryWindow"},
+		{[]string{"-drift", "2", "-rollback-margin", "-0.1"}, "RollbackMargin"},
+		{[]string{"-models", "A", "-drift", "2"}, "single-model"},
+		{[]string{"-models", "A", "-replay-session", "s.log", "-drift", "2"}, "single-model"},
+		// Drift-loop flags without -drift are dead configuration.
+		{[]string{"-drift-at", "0.5"}, "-drift-at"},
+		{[]string{"-canary", "4"}, "-canary"},
+		{[]string{"-rollback-margin", "0.2"}, "-rollback-margin"},
+		{[]string{"-models", "A", "-canary", "4"}, "-canary"},
+	}
+	for _, c := range cases {
+		_, err := parseFlags(c.args, io.Discard)
+		if err == nil {
+			t.Errorf("parseFlags(%v) succeeded, want error", c.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("parseFlags(%v) error %q does not mention %q", c.args, err, c.want)
+		}
+	}
+
+	// The queue policy each mode serves under: single-model defaults to
+	// split-tail at the split cap, the fleet pool to serve-all without one.
+	accepted := []struct {
+		args []string
+		want trace.QueuePolicy
+	}{
+		{[]string{"-gpus", "2", "-queue", "8", "-deadline", "1.5"},
+			trace.QueuePolicy{Workers: 2, QueueDepth: 8, Deadline: 1.5e-3, Policy: trace.DegradeSplitTail, SplitCap: splitCap}},
+		{[]string{"-degrade", "shed", "-drift", "2", "-drift-at", "0", "-canary", "8", "-rollback-margin", "0"},
+			trace.QueuePolicy{Workers: 1, Policy: trace.DegradeShed, SplitCap: splitCap}},
+		{[]string{"-models", "A,C"}, trace.QueuePolicy{Workers: 1, Policy: trace.DegradeServe}},
+		{[]string{"-models", "A", "-degrade", "split-tail"},
+			trace.QueuePolicy{Workers: 1, Policy: trace.DegradeSplitTail, SplitCap: splitCap}},
+	}
+	for _, c := range accepted {
+		o, err := parseFlags(c.args, io.Discard)
+		if err != nil {
+			t.Errorf("parseFlags(%v) = %v, want success", c.args, err)
+			continue
+		}
+		if o.queuePolicy != c.want {
+			t.Errorf("parseFlags(%v) queue policy %+v, want %+v", c.args, o.queuePolicy, c.want)
+		}
+	}
+}
+
 // The cache-tier flag sweep: every bad spelling fails at flag-parse time with
 // a message naming the offending flag, before any model is tuned.
 func TestRunRejectsBadCacheFlags(t *testing.T) {

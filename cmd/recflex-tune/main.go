@@ -47,9 +47,8 @@ func run(args []string, w io.Writer) error {
 		workers  = fs.Int("workers", 0, "tuning parallelism (0 = GOMAXPROCS)")
 		sepAblat = fs.Bool("separate", false, "also run the separate-combine straw-man tuner")
 		outFile  = fs.String("o", "", "save the tuned schedules as JSON (loadable by core.LoadTuned)")
-		prune    = fs.Bool("prune", false, "successive-halving pruning in the local stage (sampled first pass, survivors re-scored at full budget)")
 		warmFile = fs.String("warm-start", "", "warm-start the search from a previously saved tuning result (a -o file)")
-		serial   = fs.Bool("serial", false, "force the serial reference engine (ignores -prune/-warm-start)")
+		serial   = fs.Bool("serial", false, "force the serial reference engine (ignores -warm-start)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -95,7 +94,7 @@ func run(args []string, w io.Writer) error {
 	features := experiments.Features(cfg)
 	m := tuner.DefaultModel(features)
 
-	topts := tuner.Options{Parallelism: *workers, Prune: *prune, Serial: *serial}
+	topts := tuner.Options{Parallelism: *workers, Serial: *serial}
 	if *warmFile != "" {
 		incumbent := core.New(dev, features)
 		if err := incumbent.LoadTuned(*warmFile); err != nil {

@@ -25,9 +25,7 @@ func TestConcurrentWarmRetunesSharedMemo(t *testing.T) {
 	rf, reqs, src, opts := continuousFixture(t)
 	opts.WarmStart = true
 	// Keep the per-tune cost down — race-mode simulation is slow and this
-	// test runs three full serving loops. The equality pin compares against
-	// a cold-cache run with these same options, so pruning stays valid.
-	opts.Tune.Prune = true
+	// test runs three full serving loops.
 	opts.Tune.Occupancies = []int{2, 4}
 	opts.RetuneBatches = 2
 

@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"repro/internal/datasynth"
-	"repro/internal/emcache"
 	"repro/internal/embedding"
+	"repro/internal/emcache"
 	"repro/internal/fleet"
 	"repro/internal/gpusim"
 	"repro/internal/report"

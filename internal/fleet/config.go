@@ -159,11 +159,6 @@ type Config struct {
 	// signal RebalanceByLoad consumes, with scale-out lag and
 	// drain-before-remove semantics. Restricted to packed/spread placement.
 	Autoscale *AutoscaleConfig
-	// HistMin, HistMax, HistBuckets shape the latency histograms (fleet,
-	// per-model and per-tenant); zero values default to 1us..10s across 28
-	// log-spaced buckets, matching trace.ServerConfig.
-	HistMin, HistMax float64
-	HistBuckets      int
 	// Cache, when set, is the shared embedding-cache tier every dispatched
 	// request consults and mutates: cold rows are charged to the request's
 	// service time through the PCIe fault model, fills warm the tier, and
@@ -198,15 +193,6 @@ func (c *Config) Validate(models, tenants int) error {
 		return fmt.Errorf("fleet: ShedFraction %g requires a bounded queue (QueueDepth > 0): load-aware shedding never fires over an unbounded queue", c.ShedFraction)
 	case c.RebalanceEvery < 0:
 		return fmt.Errorf("fleet: RebalanceEvery must be >= 0, got %g", c.RebalanceEvery)
-	case c.HistMin < 0 || c.HistMax < 0 || c.HistBuckets < 0:
-		return fmt.Errorf("fleet: histogram shape must be non-negative")
-	}
-	// Cross-check the histogram shape after default resolution — the same
-	// resolution histogram() applies — so a shape that only turns invalid once
-	// defaults kick in (HistMin=20 with HistMax=0 -> 10) fails here rather
-	// than panicking inside NewHistogram mid-Serve.
-	if min, max, _ := c.histShape(); max <= min {
-		return fmt.Errorf("fleet: HistMax %g must exceed HistMin %g after defaults (HistMin=1e-6, HistMax=10)", max, min)
 	}
 	if c.Placement == PlacementDedicated && c.Queue.EffectiveWorkers() < models {
 		return fmt.Errorf("fleet: dedicated placement needs at least one worker per model (%d workers, %d models)",
@@ -247,27 +233,6 @@ func (c *Config) Validate(models, tenants int) error {
 		}
 	}
 	return nil
-}
-
-// histShape resolves the configured histogram shape with zero-value defaults
-// applied: 1us..10s across 28 log-spaced buckets, matching trace.ServerConfig.
-func (c *Config) histShape() (min, max float64, n int) {
-	min, max, n = c.HistMin, c.HistMax, c.HistBuckets
-	if min == 0 {
-		min = 1e-6
-	}
-	if max == 0 {
-		max = 10
-	}
-	if n == 0 {
-		n = 28
-	}
-	return min, max, n
-}
-
-// histogram builds a latency histogram with the configured shape.
-func (c *Config) histogram() *trace.Histogram {
-	return trace.NewHistogram(c.histShape())
 }
 
 // Request is one inference request in a fleet stream: a trace.Request tagged

@@ -342,7 +342,7 @@ func (p *Pool) modelReport(m int, reqs []Request, rep *Report, tuneBusy float64)
 	var sojourns []float64
 	var outcomes []trace.Outcome
 	var gens []int
-	tm := &trace.Metrics{Latency: p.cfg.histogram(), TuneBusy: tuneBusy}
+	tm := &trace.Metrics{Latency: trace.NewLatencyHistogram(), TuneBusy: tuneBusy}
 	firstArr, lastEnd := math.Inf(1), math.Inf(-1)
 	var served []float64
 	var totalService float64

@@ -529,11 +529,6 @@ func TestNewPoolErrors(t *testing.T) {
 		{"placement", fleet.Config{Queue: okQueue, Placement: fleet.Strategy(9)}, okModels, oneTenant(), "placement"},
 		{"shed fraction", fleet.Config{Queue: okQueue, ShedFraction: 1.5}, okModels, oneTenant(), "ShedFraction"},
 		{"rebalance pacing", fleet.Config{Queue: okQueue, RebalanceEvery: -1}, okModels, oneTenant(), "RebalanceEvery"},
-		{"histogram", fleet.Config{Queue: okQueue, HistMin: 2, HistMax: 1}, okModels, oneTenant(), "HistMax"},
-		// Regression: inverted only after defaults resolve (HistMax=0 -> 10,
-		// HistMin=0 -> 1e-6); used to pass validation and panic mid-Serve.
-		{"histogram defaulted max", fleet.Config{Queue: okQueue, HistMin: 20}, okModels, oneTenant(), "HistMax"},
-		{"histogram defaulted min", fleet.Config{Queue: okQueue, HistMax: 1e-9}, okModels, oneTenant(), "HistMax"},
 		{"dedicated short", fleet.Config{Queue: trace.QueuePolicy{Workers: 1}, Placement: fleet.PlacementDedicated},
 			[]fleet.Model{{Name: "a", Service: constSvc(1)}, {Name: "b", Service: constSvc(1)}}, oneTenant(),
 			"one worker per model"},

@@ -165,7 +165,7 @@ func (p *Pool) Begin() *Live {
 	}
 
 	met := &Metrics{
-		Latency:   p.cfg.histogram(),
+		Latency:   trace.NewLatencyHistogram(),
 		Policy:    p.policy.Name(),
 		Placement: p.cfg.Placement.String(),
 		Models:    make([]GroupMetrics, len(p.models)),
@@ -173,11 +173,11 @@ func (p *Pool) Begin() *Live {
 	}
 	for m := range met.Models {
 		met.Models[m].Name = p.models[m].Name
-		met.Models[m].Latency = p.cfg.histogram()
+		met.Models[m].Latency = trace.NewLatencyHistogram()
 	}
 	for t := range met.Tenants {
 		met.Tenants[t].Name = p.tenants[t].Name
-		met.Tenants[t].Latency = p.cfg.histogram()
+		met.Tenants[t].Latency = trace.NewLatencyHistogram()
 	}
 	l.met = met
 	return l

@@ -100,10 +100,6 @@ type Options struct {
 
 	// Dispatch selects branch or function-pointer dispatch.
 	Dispatch DispatchMode
-
-	// SpillReuse scales the local-memory traffic caused by each spilled
-	// register (accesses per block lifetime). Zero uses a default of 4.
-	SpillReuse float64
 }
 
 // Fused is the compiled fused kernel plus everything needed to execute it
@@ -261,10 +257,6 @@ func countUniqueSchedules(features []FeatureInfo, choices []sched.Schedule) int 
 // buildKernel assembles the gpusim kernel from the task map and plans,
 // charging dispatch overhead and spill traffic.
 func (fu *Fused) buildKernel(res gpusim.KernelResources) {
-	spillReuse := fu.Opts.SpillReuse
-	if spillReuse <= 0 {
-		spillReuse = 4
-	}
 	blocks := make([]gpusim.BlockWork, len(fu.Map.Feature))
 	// Average dispatch depth: with code sharing the chain has
 	// UniqueSchedules branches and a block falls through half on average.
@@ -289,16 +281,7 @@ func (fu *Fused) buildKernel(res gpusim.KernelResources) {
 		default:
 			w.CompCycles += branchCycles
 		}
-		if fu.SpilledRegs[f] > 0 && w.Warps > 0 {
-			// Spilled registers live in thread-local memory; the traffic
-			// is mostly absorbed by the cache hierarchy (charged to L2)
-			// with a residual DRAM share for capacity misses.
-			threads := float64(w.Warps * fu.Device.WarpSize)
-			spillBytes := gpusim.SpillBytesPerThread(fu.SpilledRegs[f], spillReuse) * threads
-			w.L2Bytes += spillBytes * 0.8
-			w.DRAMBytes += spillBytes * 0.2
-			w.MemRequests += spillBytes / 128
-		}
+		gpusim.ChargeSpill(fu.Device, &w, fu.SpilledRegs[f])
 		w.Tag = f
 		w.Sub = int(fu.Map.Rel[i])
 		blocks[i] = w

@@ -72,20 +72,20 @@ type Gateway struct {
 	clock Clock
 	sess  *SessionWriter
 
-	mu       sync.Mutex
-	live     *fleet.Live
-	epoch    time.Time
-	lastSim  float64
-	waiters  map[int]chan fleet.Event
-	pending  []fleet.Event // resolved, held until the wall clock reaches warped End
-	sojourns []float64
+	mu        sync.Mutex
+	live      *fleet.Live
+	epoch     time.Time
+	lastSim   float64
+	waiters   map[int]chan fleet.Event
+	pending   []fleet.Event // resolved, held until the wall clock reaches warped End
+	sojourns  []float64
 	admitted  int
 	served    int
 	shedded   int
 	preempted int
 	lost      int
-	err      error
-	closed   bool
+	err       error
+	closed    bool
 
 	wake     chan struct{}
 	stop     chan struct{}

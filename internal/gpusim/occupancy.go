@@ -157,3 +157,19 @@ func SpillBytesPerThread(spilledRegs int, spillReuse float64) float64 {
 	}
 	return float64(spilledRegs) * 4 * 2 * spillReuse // store + load per reuse
 }
+
+// ChargeSpill adds the local-memory traffic of spilledRegs per-thread spilled
+// registers to a block. Each spilled register is reused 4 times over the
+// block lifetime (SpillBytesPerThread); the traffic is mostly absorbed by the
+// cache hierarchy (80% charged to L2) with a residual DRAM share for capacity
+// misses, in 128-byte requests. The fusion compiler and the tuner's local
+// stage both charge spill through here, so the two see one spill model.
+func ChargeSpill(d *Device, b *BlockWork, spilledRegs int) {
+	if spilledRegs <= 0 || b.Warps <= 0 {
+		return
+	}
+	bytes := SpillBytesPerThread(spilledRegs, 4) * float64(b.Warps*d.WarpSize)
+	b.L2Bytes += bytes * 0.8
+	b.DRAMBytes += bytes * 0.2
+	b.MemRequests += bytes / 128
+}

@@ -191,6 +191,26 @@ func TestSpillBytesPerThread(t *testing.T) {
 	}
 }
 
+func TestChargeSpill(t *testing.T) {
+	d := V100()
+	b := BlockWork{Warps: 2, L2Bytes: 1, DRAMBytes: 1, MemRequests: 1}
+	ChargeSpill(d, &b, 10)
+	// 10 regs * 4 bytes * 2 (st+ld) * reuse 4 = 320 bytes for each of 64 threads.
+	bytes := 320.0 * 64
+	if b.L2Bytes != 1+bytes*0.8 || b.DRAMBytes != 1+bytes*0.2 || b.MemRequests != 1+bytes/128 {
+		t.Errorf("charged %+v, want %g B split 80/20 over L2/DRAM in 128 B requests", b, bytes)
+	}
+	for _, c := range []struct {
+		warps, regs int
+	}{{0, 10}, {2, 0}} {
+		b := BlockWork{Warps: c.warps}
+		ChargeSpill(d, &b, c.regs)
+		if b != (BlockWork{Warps: c.warps}) {
+			t.Errorf("warps %d, spilled %d: charged %+v, want nothing", c.warps, c.regs, b)
+		}
+	}
+}
+
 func TestKernelResourcesValidate(t *testing.T) {
 	d := V100()
 	good := KernelResources{ThreadsPerBlock: 256, RegsPerThread: 32, SharedMemPerBlock: 2048}

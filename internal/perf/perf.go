@@ -34,8 +34,8 @@ const (
 // regimes (wide launch, saturated retire/backfill), the three replay engines
 // (single-model server, multi-tenant fleet pool, elastic heterogeneous pool
 // with preemption and autoscaling), the embedding-cache tier's per-dispatch
-// path, and the tuner engines (serial reference, cold fleet-speed with
-// pruning, the default cold engine, warm-started re-tune).
+// path, and the tuner engines (serial reference, the default cold engine,
+// warm-started re-tune).
 func Cases() []Case {
 	return []Case{
 		{Name: "SimulateKernel640Blocks", Bench: SimulateKernel640Blocks},
@@ -46,7 +46,6 @@ func Cases() []Case {
 		{Name: "ElasticLongServe", ReqsPerIter: elasticLongRequests, Bench: ElasticLongServe},
 		{Name: "CacheDispatch", ReqsPerIter: 1, Bench: CacheDispatch},
 		{Name: "TuneSerial", Bench: TuneSerial},
-		{Name: "TuneParallel", Bench: TuneParallel},
 		{Name: "TuneCold", Bench: TuneCold},
 		{Name: "RetuneWarm", Bench: RetuneWarm},
 	}

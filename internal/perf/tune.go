@@ -86,29 +86,12 @@ func TuneSerial(b *testing.B) {
 	}
 }
 
-// TuneParallel measures the fleet-speed engine cold: worker-pool dispatch
-// across occupancies with grouped successive-halving pruning, no memo and no
-// warm start, so every iteration pays for its own simulations.
-func TuneParallel(b *testing.B) {
-	dev := gpusim.V100()
-	model, batches := tuneFixture(b)
-	opts := tuneBenchOpts()
-	opts.Prune = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tuner.Tune(dev, model, batches, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TuneCold measures the configuration every core.RecFlex.Tune caller gets by
-// default: the fleet-speed engine with no memo, no pruning and no warm start,
-// over every occupancy level the model's widest block admits (up to eight).
-// Its local stage stops each feature's co-execution simulations once the
-// winning schedule is proven, and that saving grows with occupancy, so the
-// derived levels, not the three of the other tuner cases, are the fixture.
+// default: the fleet-speed engine with no memo and no warm start, over every
+// occupancy level the model's widest block admits (up to eight). Its local
+// stage stops each feature's co-execution simulations once the winning
+// schedule is proven, and that saving grows with occupancy, so the derived
+// levels, not the three of the other tuner cases, are the fixture.
 func TuneCold(b *testing.B) {
 	dev := gpusim.V100()
 	model, batches := tuneFixture(b)

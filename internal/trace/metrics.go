@@ -56,6 +56,10 @@ func NewHistogram(min, max float64, n int) *Histogram {
 	}
 }
 
+// NewLatencyHistogram creates the latency histogram both serving engines
+// record into: 28 log-spaced buckets from 1us to 10s.
+func NewLatencyHistogram() *Histogram { return NewHistogram(1e-6, 10, 28) }
+
 // histShape keys the process-wide bucket-boundary cache. Serving runs create
 // one histogram per replay but use a handful of shapes, so the boundary table
 // is computed once per shape per process.

@@ -41,7 +41,7 @@ func TestQueuePolicyValidate(t *testing.T) {
 }
 
 // ServerConfig validation must reject exactly what the shared queue policy
-// rejects, plus its own histogram shape checks.
+// rejects.
 func TestServerConfigValidateDelegates(t *testing.T) {
 	bad := []struct {
 		name string
@@ -49,9 +49,6 @@ func TestServerConfigValidateDelegates(t *testing.T) {
 		want string
 	}{
 		{"queue policy", ServerConfig{Workers: -1}, "Workers"},
-		{"negative hist", ServerConfig{HistMin: -1}, "histogram"},
-		{"negative buckets", ServerConfig{HistBuckets: -1}, "histogram"},
-		{"inverted hist bounds", ServerConfig{HistMin: 2, HistMax: 1}, "HistMax"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,40 +58,10 @@ func TestServerConfigValidateDelegates(t *testing.T) {
 			}
 		})
 	}
-	// Regression: shapes that are only inverted after zero-value defaults
-	// resolve (HistMax=0 -> 10, HistMin=0 -> 1e-6) used to pass Validate and
-	// then panic inside NewHistogram mid-Serve. Validate must apply the same
-	// resolution histogram() does and reject them up front.
-	afterDefaults := []struct {
-		name string
-		cfg  ServerConfig
-	}{
-		{"min above defaulted max", ServerConfig{HistMin: 20}},          // max defaults to 10
-		{"max below defaulted min", ServerConfig{HistMax: 1e-9}},        // min defaults to 1e-6
-		{"min equals defaulted max", ServerConfig{HistMin: 10}},         // max <= min after defaults
-		{"explicit equal bounds", ServerConfig{HistMin: 5, HistMax: 5}}, // no defaults involved
-	}
-	for _, tc := range afterDefaults {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.Validate()
-			if err == nil || !strings.Contains(err.Error(), "HistMax") {
-				t.Fatalf("Validate() = %v, want histogram-shape error", err)
-			}
-			// NewServer must surface the same error instead of deferring the
-			// blow-up to the first Serve.
-			if _, err := NewServer(tc.cfg, func(size int) (float64, error) { return 1e-3, nil }); err == nil {
-				t.Fatalf("NewServer accepted a histogram shape that panics at Serve time")
-			}
-		})
-	}
 
-	good := ServerConfig{Workers: 2, QueueDepth: 8, Deadline: 1, SplitCap: 512, HistMin: 1e-6, HistMax: 1, HistBuckets: 10}
+	good := ServerConfig{Workers: 2, QueueDepth: 8, Deadline: 1, SplitCap: 512}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("Validate() = %v, want nil", err)
-	}
-	q := good.Queue()
-	if q.Workers != 2 || q.QueueDepth != 8 || q.Deadline != 1 || q.SplitCap != 512 || q.Policy != DegradeSplitTail {
-		t.Fatalf("Queue() = %+v, does not mirror the server config", q)
 	}
 }
 

@@ -55,91 +55,15 @@ func (o Outcome) Shed() bool {
 	return false
 }
 
-// ServerConfig shapes the concurrent serving engine.
-type ServerConfig struct {
-	// Workers is the number of simulated GPUs (k in M/G/k); 0 means 1.
-	Workers int
-	// QueueDepth bounds the admission queue; 0 means unbounded. Under the
-	// default DegradeSplitTail policy a full queue sheds only long-tail
-	// requests (the arriving tail, or the youngest queued tail to make room
-	// for a normal arrival); if no tail can make room, the normal request is
-	// admitted anyway — the bound is soft for non-tail traffic by design, so
-	// interactive requests are never dropped by a burst of batch traffic.
-	// Other policies shed the arriving request, whatever its size.
-	QueueDepth int
-	// Deadline is the default per-request completion deadline in seconds
-	// after arrival; 0 disables deadlines. Request.Deadline overrides it
-	// per request.
-	Deadline float64
-	// Policy is the degradation policy (default DegradeSplitTail).
-	Policy DegradePolicy
-	// SplitCap is the size above which a request counts as an unsplit
-	// long-tail batch and may be split by DegradeSplitTail; 0 disables
-	// splitting and tail special-casing (every request is then "normal").
-	SplitCap int
-	// HistMin, HistMax, HistBuckets shape the latency histogram; zero
-	// values default to 1us..10s across 28 log-spaced buckets.
-	HistMin, HistMax float64
-	HistBuckets      int
-}
-
-// Queue returns the configuration's queue-policy view — the fields shared
-// with the fleet pool configuration, validated in one place (QueuePolicy).
-func (c *ServerConfig) Queue() QueuePolicy {
-	return QueuePolicy{
-		Workers:    c.Workers,
-		QueueDepth: c.QueueDepth,
-		Deadline:   c.Deadline,
-		Policy:     c.Policy,
-		SplitCap:   c.SplitCap,
-	}
-}
-
-// Validate checks the server configuration. The histogram shape is checked
-// after default resolution — the same resolution histogram() applies — so a
-// shape that only turns invalid once defaults kick in (HistMin=20 with
-// HistMax=0, which defaults to 10) fails here, at configuration time, instead
-// of panicking inside NewHistogram mid-Serve.
-func (c *ServerConfig) Validate() error {
-	q := c.Queue()
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	if c.HistMin < 0 || c.HistMax < 0 || c.HistBuckets < 0 {
-		return fmt.Errorf("trace: histogram shape must be non-negative")
-	}
-	if min, max, _ := c.histShape(); max <= min {
-		return fmt.Errorf("trace: HistMax %g must exceed HistMin %g after defaults (HistMin=1e-6, HistMax=10)", max, min)
-	}
-	return nil
-}
-
-// histShape resolves the configured histogram shape with zero-value defaults
-// applied: 1us..10s across 28 log-spaced buckets.
-func (c *ServerConfig) histShape() (min, max float64, n int) {
-	min, max, n = c.HistMin, c.HistMax, c.HistBuckets
-	if min == 0 {
-		min = 1e-6
-	}
-	if max == 0 {
-		max = 10
-	}
-	if n == 0 {
-		n = 28
-	}
-	return min, max, n
-}
-
-// workers returns the effective GPU count.
-func (c *ServerConfig) workers() int {
-	q := c.Queue()
-	return q.EffectiveWorkers()
-}
-
-// histogram builds the configured latency histogram.
-func (c *ServerConfig) histogram() *Histogram {
-	return NewHistogram(c.histShape())
-}
+// ServerConfig shapes the concurrent serving engine: it is the queue policy
+// the engine shares with the fleet pool. Under the default DegradeSplitTail
+// policy a full queue sheds only long-tail requests (the arriving tail, or
+// the youngest queued tail to make room for a normal arrival); if no tail can
+// make room, the normal request is admitted anyway — the bound is soft for
+// non-tail traffic by design, so interactive requests are never dropped by a
+// burst of batch traffic. Other policies shed the arriving request, whatever
+// its size.
+type ServerConfig = QueuePolicy
 
 // Report is the outcome of one trace served by the engine: the classic
 // closed-form Result (percentiles over served requests, sojourns aligned to
@@ -216,19 +140,6 @@ func (s *Server) Metrics() *Metrics {
 		return nil
 	}
 	return s.last.Clone()
-}
-
-// isTail reports whether a request of this size is an unsplit long-tail
-// batch under the configured cap.
-func (c *ServerConfig) isTail(size int) bool {
-	q := c.Queue()
-	return q.IsTail(size)
-}
-
-// chunkSizes returns the split-at-cap decomposition of a tail size.
-func (c *ServerConfig) chunkSizes(size int) []int {
-	q := c.Queue()
-	return q.ChunkSizes(size)
 }
 
 // denseSizeLimit bounds the dense size-indexed fast paths: up to this maximum
@@ -320,7 +231,7 @@ func (s *Server) resolveServiceTimes(reqs []Request) (map[int]float64, error) {
 	errs := make(map[int]error)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for w := 0; w < s.cfg.workers(); w++ {
+	for w := 0; w < s.cfg.EffectiveWorkers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -479,14 +390,14 @@ func (st *replayState) Occupy(now, dur float64) (worker int, start, end float64)
 
 // runReplay is the deterministic virtual-clock event loop shared by
 // Server.Serve and Supervisor.Run: FIFO admission with the configured queue
-// bound and degradation policy, least-loaded dispatch over cfg.workers()
+// bound and degradation policy, least-loaded dispatch over cfg.EffectiveWorkers()
 // simulated GPUs, per-request deadlines and split-at-cap fallback. sorted
 // must be in arrival order; order maps sorted positions back to the caller's
 // indices (nil = identity).
 func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveFunc, admit admitHook, onFinish finishHook) (*Report, error) {
-	k := cfg.workers()
+	k := cfg.EffectiveWorkers()
 	n := len(sorted)
-	met := &Metrics{Latency: cfg.histogram()}
+	met := &Metrics{Latency: NewLatencyHistogram()}
 	sc := replayPool.Get().(*replayScratch)
 	sc.grab(k)
 	queue := sc.queue

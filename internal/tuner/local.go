@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/gpusim"
@@ -56,7 +55,6 @@ type featureEnv struct {
 	candidates []sched.Schedule
 	feasible   []bool
 	spilled    []int
-	maxSmem    int // max shared memory over feasible candidates
 	controlled gpusim.KernelResources
 }
 
@@ -82,6 +80,7 @@ func newFeatureEnv(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int) 
 		spilled:    make([]int, len(candidates)),
 	}
 	anyFeasible := false
+	maxSmem := 0 // max shared memory over feasible candidates
 	for ci, s := range candidates {
 		r := s.Resources(model.Features[f].Dim)
 		feasible := r.SharedMemPerBlock <= smemBudget
@@ -91,8 +90,8 @@ func newFeatureEnv(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int) 
 		}
 		if feasible {
 			anyFeasible = true
-			if r.SharedMemPerBlock > e.maxSmem {
-				e.maxSmem = r.SharedMemPerBlock
+			if r.SharedMemPerBlock > maxSmem {
+				maxSmem = r.SharedMemPerBlock
 			}
 		}
 	}
@@ -103,7 +102,7 @@ func newFeatureEnv(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int) 
 	res := gpusim.KernelResources{
 		ThreadsPerBlock:   kernelThreads,
 		RegsPerThread:     regBudget,
-		SharedMemPerBlock: e.maxSmem,
+		SharedMemPerBlock: maxSmem,
 	}
 	controlled, _, err := res.ControlOccupancy(dev, occ)
 	if err != nil {
@@ -113,45 +112,18 @@ func newFeatureEnv(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int) 
 	return e, nil
 }
 
-// appendCandidateBlocks plans candidate ci of the environment's feature for
-// one batch, stride-samples the plan down to at most budget blocks, charges
-// register spill, tags every block with tag, and appends the blocks to dst.
-// It returns the extended slice and the scale factor that maps the sampled
-// block-time sum back to the full plan.
-func (e *featureEnv) appendCandidateBlocks(dst []gpusim.BlockWork, dev *gpusim.Device, ci int,
-	w *sched.Workload, l2 sched.L2Context, budget, tag int, spillReuse float64) ([]gpusim.BlockWork, float64, error) {
-
-	s := e.candidates[ci]
-	p, err := s.Plan(w, dev, l2)
-	if err != nil {
-		return dst, 0, fmt.Errorf("planning %s: %w", s.Name(), err)
-	}
-	// Stride-sample large plans: co-executing a representative subset keeps
-	// the co-execution kernel small while the sum of block times stays an
-	// unbiased estimate of Equation 3.
-	stride := 1
-	if p.NumBlocks > budget {
-		stride = (p.NumBlocks + budget - 1) / budget
-	}
-	sampled := 0
-	for i := 0; i < p.NumBlocks; i += stride {
-		b := p.Blocks[i]
-		chargeSpill(dev, &b, e.spilled[ci], spillReuse)
-		b.Tag = tag
-		dst = append(dst, b)
-		sampled++
-	}
-	return dst, float64(p.NumBlocks) / float64(sampled), nil
-}
-
 // batchKernel builds the co-execution kernel of the feature's feasible
 // candidates for one batch under controlled occupancy, padded from the pool.
-// Candidate ci's blocks carry tag ci; scale[ci] maps their sampled block-time
-// sum back to the full plan (0 for a candidate absent from the batch) and
-// counted[ci] reports whether it ran. k is nil when no candidate produced a
-// runnable block, which rules the occupancy out for this feature.
+// Each candidate's plan is stride-sampled down to at most
+// maxBlocksPerCandidate blocks: co-executing a representative subset keeps
+// the kernel small while the sum of block times stays an unbiased estimate of
+// Equation 3. Candidate ci's blocks carry tag ci and its register spill;
+// scale[ci] maps their sampled block-time sum back to the full plan (0 for a
+// candidate absent from the batch) and counted[ci] reports whether it ran. k
+// is nil when no candidate produced a runnable block, which rules the
+// occupancy out for this feature.
 func (e *featureEnv) batchKernel(dev *gpusim.Device, occ int, w *sched.Workload, l2 sched.L2Context,
-	pad []gpusim.BlockWork, budget int, o Options) (k *gpusim.Kernel, scale []float64, counted []bool, err error) {
+	pad []gpusim.BlockWork) (k *gpusim.Kernel, scale []float64, counted []bool, err error) {
 
 	scale = make([]float64, len(e.candidates))
 	counted = make([]bool, len(e.candidates))
@@ -160,10 +132,23 @@ func (e *featureEnv) batchKernel(dev *gpusim.Device, occ int, w *sched.Workload,
 		if !e.feasible[ci] || !s.Supports(w) {
 			continue
 		}
-		blocks, scale[ci], err = e.appendCandidateBlocks(blocks, dev, ci, w, l2, budget, ci, o.SpillReuse)
+		p, err := s.Plan(w, dev, l2)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, fmt.Errorf("planning %s: %w", s.Name(), err)
 		}
+		stride := 1
+		if p.NumBlocks > maxBlocksPerCandidate {
+			stride = (p.NumBlocks + maxBlocksPerCandidate - 1) / maxBlocksPerCandidate
+		}
+		sampled := 0
+		for i := 0; i < p.NumBlocks; i += stride {
+			b := p.Blocks[i]
+			gpusim.ChargeSpill(dev, &b, e.spilled[ci])
+			b.Tag = ci
+			blocks = append(blocks, b)
+			sampled++
+		}
+		scale[ci] = float64(p.NumBlocks) / float64(sampled)
 		counted[ci] = true
 	}
 	if len(blocks) == 0 {
@@ -172,7 +157,7 @@ func (e *featureEnv) batchKernel(dev *gpusim.Device, occ int, w *sched.Workload,
 	// Pad with redundant embedding operations drawn from the model's full
 	// workload mix so the SMs are full and grid-level memory pressure
 	// matches the fused kernel's.
-	padTarget := int(float64(dev.ParallelBlockSlots(occ)) * o.PaddingFactor)
+	padTarget := int(float64(dev.ParallelBlockSlots(occ)) * paddingFactor)
 	for i := 0; len(blocks) < padTarget; i++ {
 		blocks = append(blocks, pad[i%len(pad)])
 	}
@@ -190,9 +175,9 @@ func (e *featureEnv) batchKernel(dev *gpusim.Device, occ int, w *sched.Workload,
 // (Equation 3 terms, scaled back to the full plan). The returned localScore
 // is safe to memoize: it depends only on the simulated inputs.
 func scoreFeatureBatch(dev *gpusim.Device, e *featureEnv, occ int, w *sched.Workload,
-	l2 sched.L2Context, pad []gpusim.BlockWork, budget int, o Options, sim *gpusim.Simulator) (*localScore, error) {
+	l2 sched.L2Context, pad []gpusim.BlockWork, sim *gpusim.Simulator) (*localScore, error) {
 
-	k, scale, counted, err := e.batchKernel(dev, occ, w, l2, pad, budget, o)
+	k, scale, counted, err := e.batchKernel(dev, occ, w, l2, pad)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +206,7 @@ func scoreFeatureBatch(dev *gpusim.Device, e *featureEnv, occ int, w *sched.Work
 // fresh simulation would produce.
 func tuneFeature(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int,
 	ws [][]sched.Workload, l2 []sched.L2Context, pool [][]gpusim.BlockWork,
-	o Options, memo *Memo, fps *fingerprints) (int, error) {
+	memo *Memo, fps *fingerprints) (int, error) {
 
 	env, err := newFeatureEnv(dev, model, f, occ, warpsPerBlock)
 	if err != nil {
@@ -236,11 +221,11 @@ func tuneFeature(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int,
 	sim := gpusim.NewSimulator()
 	for bi := range ws {
 		compute := func() (any, error) {
-			return scoreFeatureBatch(dev, env, occ, &ws[bi][f], l2[bi], pool[bi], o.MaxBlocksPerCandidate, o, sim)
+			return scoreFeatureBatch(dev, env, occ, &ws[bi][f], l2[bi], pool[bi], sim)
 		}
 		var v any
 		if memo != nil {
-			v, err = memo.do(fps.localKey(occ, warpsPerBlock, o.MaxBlocksPerCandidate, f, bi), compute)
+			v, err = memo.do(fps.localKey(occ, warpsPerBlock, f, bi), compute)
 		} else {
 			v, err = compute()
 		}
@@ -303,7 +288,7 @@ var earlyStops atomic.Int64
 // The scores of a stopped job are incomplete, so the memo path, which
 // stores per-batch scores for later re-tunes, keeps tuneFeature.
 func tuneFeatureBounded(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int,
-	ws [][]sched.Workload, l2 []sched.L2Context, pool [][]gpusim.BlockWork, o Options) (int, error) {
+	ws [][]sched.Workload, l2 []sched.L2Context, pool [][]gpusim.BlockWork) (int, error) {
 
 	env, err := newFeatureEnv(dev, model, f, occ, warpsPerBlock)
 	if err != nil {
@@ -312,7 +297,7 @@ func tuneFeatureBounded(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock 
 	lb := newLocalBounds(len(ws), len(env.candidates))
 	sims := make([]*gpusim.Simulator, len(ws))
 	for bi := range ws {
-		k, scale, counted, err := env.batchKernel(dev, occ, &ws[bi][f], l2[bi], pool[bi], o.MaxBlocksPerCandidate, o)
+		k, scale, counted, err := env.batchKernel(dev, occ, &ws[bi][f], l2[bi], pool[bi])
 		if err != nil {
 			return 0, err
 		}
@@ -438,132 +423,4 @@ func (lb *localBounds) winner() int {
 		}
 	}
 	return w
-}
-
-// scoreGroupedBatch co-executes the eval-masked candidates of every feature
-// in one padded kernel for a single batch. Grouping amortizes the padded
-// grid — by far the dominant local-stage simulation cost — across all
-// features, and the mixed environment (every feature's candidates compete at
-// once) is if anything closer to the fused kernel the global stage measures.
-// The per-feature relative ranking it produces drives successive-halving
-// pruning; it is an approximation of the per-feature exact scoring, not a
-// bit-identical replacement. Tags are allocated as tagBase[f]+ci.
-func scoreGroupedBatch(dev *gpusim.Device, model *Model, envs []*featureEnv, occ int,
-	controlled gpusim.KernelResources, ws []sched.Workload, l2 sched.L2Context,
-	pad []gpusim.BlockWork, eval [][]bool, budget int, o Options, sim *gpusim.Simulator) (*groupScore, error) {
-
-	gs := &groupScore{
-		contrib: make([][]float64, len(envs)),
-		counted: make([][]bool, len(envs)),
-		empty:   make([]bool, len(envs)),
-	}
-	scale := make([][]float64, len(envs))
-	tagBase := make([]int, len(envs))
-	next := 0
-	for f, e := range envs {
-		tagBase[f] = next
-		next += len(e.candidates)
-		gs.contrib[f] = make([]float64, len(e.candidates))
-		gs.counted[f] = make([]bool, len(e.candidates))
-		scale[f] = make([]float64, len(e.candidates))
-	}
-
-	var blocks []gpusim.BlockWork
-	var err error
-	for f, e := range envs {
-		w := &ws[f]
-		added := false
-		for ci, s := range e.candidates {
-			if !eval[f][ci] || !e.feasible[ci] || !s.Supports(w) {
-				continue
-			}
-			blocks, scale[f][ci], err = e.appendCandidateBlocks(blocks, dev, ci, w, l2, budget, tagBase[f]+ci, o.SpillReuse)
-			if err != nil {
-				return nil, err
-			}
-			gs.counted[f][ci] = true
-			added = true
-		}
-		if !added {
-			gs.empty[f] = true
-		}
-	}
-	if len(blocks) == 0 {
-		return gs, nil
-	}
-	padTarget := int(float64(dev.ParallelBlockSlots(occ)) * o.PaddingFactor)
-	for i := 0; len(blocks) < padTarget; i++ {
-		blocks = append(blocks, pad[i%len(pad)])
-	}
-	k := &gpusim.Kernel{
-		Name:                fmt.Sprintf("grouped_occ%d", occ),
-		Resources:           controlled,
-		Blocks:              blocks,
-		BlocksPerSMOverride: occ,
-	}
-	r, err := sim.Run(dev, k)
-	if err != nil {
-		return nil, err
-	}
-	for f, e := range envs {
-		for ci := range e.candidates {
-			gs.contrib[f][ci] = r.TagTime[tagBase[f]+ci] * scale[f][ci]
-		}
-	}
-	return gs, nil
-}
-
-// halve is one successive-halving round: it returns the surviving candidate
-// indices — the best-scoring half (ceil(n/2)) of the counted candidates, ties
-// broken toward the lower index — in ascending index order. protect (a
-// warm-start incumbent; pass a negative value for none) always survives when
-// counted. Uncounted candidates never survive. With two or fewer counted
-// candidates everyone counted survives. The selection is a pure function of
-// its arguments, so replays are deterministic.
-func halve(scores []float64, counted []bool, protect int) []int {
-	idx := make([]int, 0, len(scores))
-	for ci := range scores {
-		if counted[ci] {
-			idx = append(idx, ci)
-		}
-	}
-	if len(idx) <= 2 {
-		return idx
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
-		if scores[a] != scores[b] {
-			return scores[a] < scores[b]
-		}
-		return a < b
-	})
-	keep := (len(idx) + 1) / 2
-	surv := idx[:keep]
-	if protect >= 0 && protect < len(counted) && counted[protect] {
-		found := false
-		for _, ci := range surv {
-			if ci == protect {
-				found = true
-				break
-			}
-		}
-		if !found {
-			surv = append(surv, protect)
-		}
-	}
-	sort.Ints(surv)
-	return surv
-}
-
-// chargeSpill adds the local-memory traffic of spilled registers to a block,
-// matching the fusion compiler's accounting (mostly cache-resident).
-func chargeSpill(dev *gpusim.Device, b *gpusim.BlockWork, spilledRegs int, reuse float64) {
-	if spilledRegs <= 0 || b.Warps <= 0 {
-		return
-	}
-	threads := float64(b.Warps * dev.WarpSize)
-	bytes := gpusim.SpillBytesPerThread(spilledRegs, reuse) * threads
-	b.L2Bytes += bytes * 0.8
-	b.DRAMBytes += bytes * 0.2
-	b.MemRequests += bytes / 128
 }

@@ -15,12 +15,12 @@ import (
 
 // Memo is a concurrency-safe simulation cache shared across Tune calls. Keys
 // fingerprint everything a simulation's outcome depends on — device, feature
-// workloads, candidate set, occupancy, block budget and tuning options — so a
-// hit returns the exact float values a fresh simulation would produce: cached
-// and cold runs are bit-identical. Entries are computed once (singleflight): a
-// second goroutine asking for an in-flight key blocks until the first finishes
-// and then shares its result, so concurrent re-tunes never duplicate work and
-// never observe a torn entry.
+// workloads, candidate set and occupancy — so a hit returns the exact float
+// values a fresh simulation would produce: cached and cold runs are
+// bit-identical. Entries are computed once (singleflight): a second goroutine
+// asking for an in-flight key blocks until the first finishes and then shares
+// its result, so concurrent re-tunes never duplicate work and never observe a
+// torn entry.
 //
 // The cache grows without bound; it is meant to be scoped to a serving
 // lifetime (one fleet, successive re-tunes) where repeated window batches make
@@ -109,14 +109,6 @@ type localScore struct {
 	empty bool
 }
 
-// groupScore is the memoized outcome of one grouped (pruned) local-stage
-// batch covering every feature at once.
-type groupScore struct {
-	contrib [][]float64
-	counted [][]bool
-	empty   []bool // per feature: no runnable candidate block this batch
-}
-
 // globalScore is the memoized outcome of one global-stage (occupancy, batch)
 // fused measurement.
 type globalScore struct {
@@ -132,12 +124,10 @@ type globalScore struct {
 // case sharing the cached result is exactly what we want (e.g. two features
 // with identical candidate sets and workloads dedupe to one simulation).
 type fingerprints struct {
-	dev        string
-	feature    []string   // static per-feature identity: dim, table, candidates
-	batch      []string   // per-batch identity: every feature's workload + L2
-	workload   [][]string // [batch][feature] workload digest
-	optsLocal  string     // options that shape local-stage simulations
-	optsGlobal string     // options that shape global-stage simulations
+	dev      string
+	feature  []string   // static per-feature identity: dim, table, candidates
+	batch    []string   // per-batch identity: every feature's workload + L2
+	workload [][]string // [batch][feature] workload digest
 }
 
 type fpHash struct {
@@ -165,7 +155,7 @@ func (p *fpHash) str(s string) {
 func (p *fpHash) sum() string { return string(p.h.Sum(nil)) }
 
 // newFingerprints digests the tuning inputs once per Tune call.
-func newFingerprints(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2 []sched.L2Context, o Options) *fingerprints {
+func newFingerprints(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2 []sched.L2Context) *fingerprints {
 	fp := &fingerprints{}
 
 	d := newFP()
@@ -197,7 +187,7 @@ func newFingerprints(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2
 		p.f64(l2[bi].CacheBytes)
 		p.f64(l2[bi].WorkingSetBytes)
 		for f := range ws[bi] {
-			// The padding pool and grouped kernels depend on every
+			// The padding pool and the fused kernel depend on every
 			// feature's workload, so the batch digest covers them all;
 			// the per-feature digest keys the per-feature local stage.
 			q := newFP()
@@ -216,16 +206,6 @@ func newFingerprints(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2
 		}
 		fp.batch[bi] = p.sum()
 	}
-
-	lo := newFP()
-	lo.f64(o.PaddingFactor)
-	lo.f64(o.SpillReuse)
-	fp.optsLocal = lo.sum()
-
-	gl := newFP()
-	gl.f64(o.SpillReuse)
-	fp.optsGlobal = gl.sum()
-
 	return fp
 }
 
@@ -233,25 +213,8 @@ func newFingerprints(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2
 // the feature's own workload digest on top of its static identity, so two
 // replicated features share an entry only when their sampled workloads — and
 // therefore their simulations — are identical.
-func (fp *fingerprints) localKey(occ, warps, budget, f, bi int) string {
-	return fmt.Sprintf("L1|%d|%d|%d|%s%s%s%s%s", occ, warps, budget, fp.dev, fp.feature[f], fp.workload[bi][f], fp.batch[bi], fp.optsLocal)
-}
-
-// groupKey keys one grouped local-stage batch simulation over all features
-// with the given per-feature candidate eval masks.
-func (fp *fingerprints) groupKey(occ, warps, budget, bi int, eval [][]bool) string {
-	p := newFP()
-	for f := range eval {
-		for ci := range eval[f] {
-			b := int64(0)
-			if eval[f][ci] {
-				b = 1
-			}
-			p.i64(b)
-		}
-		p.i64(-1)
-	}
-	return fmt.Sprintf("L2|%d|%d|%d|%s%s%s%s", occ, warps, budget, fp.dev, fp.batch[bi], fp.optsLocal, p.sum())
+func (fp *fingerprints) localKey(occ, warps, f, bi int) string {
+	return fmt.Sprintf("L|%d|%d|%s%s%s%s", occ, warps, fp.dev, fp.feature[f], fp.workload[bi][f], fp.batch[bi])
 }
 
 // globalKey keys one global-stage fused measurement of the given choice
@@ -261,5 +224,5 @@ func (fp *fingerprints) globalKey(occ, bi int, choice []int) string {
 	for _, ci := range choice {
 		p.i64(int64(ci))
 	}
-	return fmt.Sprintf("G|%d|%s%s%s", occ, fp.dev, fp.batch[bi], fp.optsGlobal+p.sum())
+	return fmt.Sprintf("G|%d|%s%s%s", occ, fp.dev, fp.batch[bi], p.sum())
 }

@@ -68,7 +68,7 @@ func SeparateCombine(dev *gpusim.Device, model *Model, batches []*embedding.Batc
 	choices := choicesFor(model, choiceIdx)
 	total := 0.0
 	for _, b := range batches {
-		fu, err := fusion.Compile(dev, model.Features, choices, b, fusion.Options{SpillReuse: o.SpillReuse})
+		fu, err := fusion.Compile(dev, model.Features, choices, b, fusion.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -19,13 +19,12 @@
 // Two engines implement the search. Tune (parallel.go) is the production
 // engine: it runs both stages on a shared worker pool with deterministic
 // error selection, stops each feature's local-stage simulations once the
-// winner is proven (local.go), and optionally prunes with successive halving
-// (Options.Prune), warm-starts from an incumbent result (Options.Warm), and
-// serves repeated simulations from a shared cache (Options.Memo). With all
-// of those off, Tune returns a bit-identical Result to TuneSerial — the
-// frozen reference engine, which runs every simulation to completion, kept
-// as the equivalence oracle and benchmark baseline (see the equivalence
-// property tests).
+// winner is proven (local.go), and optionally warm-starts from an incumbent
+// result (Options.Warm) and serves repeated simulations from a shared cache
+// (Options.Memo). Neither changes the selection, and without Warm, Tune
+// returns a bit-identical Result to TuneSerial — the frozen reference engine,
+// which runs every simulation to completion, kept as the equivalence oracle
+// and benchmark baseline (see the equivalence property tests).
 //
 // The straw-man separate-combine tuner of §II-C (tune each feature's latency
 // in isolation, no padding, no occupancy control) lives in separate.go and
@@ -101,15 +100,11 @@ func AutoModel(dev *gpusim.Device, features []fusion.FeatureInfo, sample *embedd
 
 // Warm seeds a re-tune from an incumbent tuning result (typically the
 // outgoing generation of a continuous-serving hot swap). The parallel engine
-// uses it two ways: the incumbent candidate of every feature always survives
-// successive-halving rounds (so pruning can never discard the proven
-// schedule), and the incumbent occupancy is measured first in the global
-// stage so every other occupancy can stop measuring as soon as its partial
-// latency sum proves it cannot beat the incumbent.
+// measures the incumbent occupancy first in the global stage, so every other
+// occupancy can stop measuring as soon as its partial latency sum proves it
+// cannot beat the incumbent. An incumbent occupancy outside the sweep leaves
+// nothing to measure first, and the search runs cold.
 type Warm struct {
-	// ChoiceIdx[f] is the incumbent candidate index of feature f. It must
-	// cover every feature of the model being tuned.
-	ChoiceIdx []int
 	// Occupancy is the incumbent blocks-per-SM value.
 	Occupancy int
 }
@@ -120,57 +115,34 @@ func WarmFrom(res *Result) *Warm {
 	if res == nil {
 		return nil
 	}
-	return &Warm{
-		ChoiceIdx: append([]int(nil), res.ChoiceIdx...),
-		Occupancy: res.Occupancy,
-	}
+	return &Warm{Occupancy: res.Occupancy}
 }
+
+// The fixed shape of the interference-simulated search.
+const (
+	// maxOccupancies bounds the derived occupancy list ("the count is often
+	// less than ten").
+	maxOccupancies = 8
+	// paddingFactor scales the local stage's padded grid relative to one
+	// full wave of resident blocks, so blocks experience both intra-SM and
+	// successor contention.
+	paddingFactor = 2
+	// maxBlocksPerCandidate caps how many of a candidate's planned blocks
+	// the local stage co-executes (stride-sampled; the score scales the
+	// measured sum back to the full plan).
+	maxBlocksPerCandidate = 16
+)
 
 // Options configures the tuner.
 type Options struct {
 	// Occupancies lists the blocks-per-SM values to try in the local
 	// stage. Nil derives every achievable level from the model's widest
-	// block, thinned to at most MaxOccupancies values.
+	// block, thinned to at most maxOccupancies values.
 	Occupancies []int
-
-	// MaxOccupancies bounds the derived occupancy list (default 8 — "the
-	// count is often less than ten").
-	MaxOccupancies int
 
 	// Parallelism is the number of concurrent feature-tuning workers
 	// (default GOMAXPROCS).
 	Parallelism int
-
-	// PaddingFactor scales the padded grid relative to one full wave of
-	// resident blocks (default 2: blocks experience both intra-SM and
-	// successor contention).
-	PaddingFactor float64
-
-	// MaxBlocksPerCandidate caps how many of a candidate's planned blocks
-	// the local stage co-executes (stride-sampled; the score scales the
-	// measured sum back to the full plan). Default 16. Zero or negative
-	// keeps the default; set very large to measure every block.
-	MaxBlocksPerCandidate int
-
-	// SpillReuse matches fusion.Options.SpillReuse.
-	SpillReuse float64
-
-	// Prune enables successive-halving pruning in the local stage. All
-	// candidates are first scored on a cheap pass — stride-sampled down to
-	// PruneSampleBlocks blocks each and co-scheduled across features so the
-	// padded grid is paid once per (occupancy, batch) instead of once per
-	// (occupancy, feature, batch) — the best half per feature survives, and
-	// survivors are re-scored on the full block budget. Pruned selections
-	// are validated by the exact global stage, so the reported Latency is
-	// always a true fused measurement; only the local-stage candidate
-	// ranking is approximate. With Prune false the local stage is
-	// exhaustive and Tune is bit-identical to TuneSerial.
-	Prune bool
-
-	// PruneSampleBlocks is the per-candidate block budget of the cheap
-	// first pass when Prune is on (default MaxBlocksPerCandidate/4,
-	// minimum 1).
-	PruneSampleBlocks int
 
 	// Warm seeds the search from an incumbent result; see Warm. Nil means
 	// a cold search. Ignored by TuneSerial.
@@ -185,34 +157,16 @@ type Options struct {
 	Memo *Memo
 
 	// Serial routes Tune to TuneSerial, the frozen reference engine
-	// (exhaustive two-stage search, serial global stage, no pruning, no
-	// warm start, no memoization). Useful for A/B measurements against
-	// the fleet-speed engine.
+	// (exhaustive two-stage search, serial global stage, no warm start,
+	// no memoization). Useful for A/B measurements against the
+	// fleet-speed engine.
 	Serial bool
 }
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.MaxOccupancies <= 0 {
-		out.MaxOccupancies = 8
-	}
 	if out.Parallelism <= 0 {
 		out.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if out.PaddingFactor <= 0 {
-		out.PaddingFactor = 2
-	}
-	if out.MaxBlocksPerCandidate <= 0 {
-		out.MaxBlocksPerCandidate = 16
-	}
-	if out.SpillReuse <= 0 {
-		out.SpillReuse = 4
-	}
-	if out.PruneSampleBlocks <= 0 {
-		out.PruneSampleBlocks = out.MaxBlocksPerCandidate / 4
-		if out.PruneSampleBlocks < 1 {
-			out.PruneSampleBlocks = 1
-		}
 	}
 	return out
 }
@@ -268,9 +222,9 @@ func analyzeBatches(dev *gpusim.Device, model *Model, batches []*embedding.Batch
 // the historical batches (Equation 5: the winner minimizes summed time over
 // sampled data). It is the pre-fleet-speed engine, kept verbatim in behavior:
 // exhaustive local stage, one occupancy at a time in the global stage, and
-// none of the fleet-speed options (Prune, Warm, Memo) honored. Tune with
-// those options off is pinned bit-identical to this function by the
-// equivalence property tests, which is what licenses the fast path.
+// neither fleet-speed option (Warm, Memo) honored. Tune is pinned
+// bit-identical to this function by the equivalence property tests, which is
+// what licenses the fast path.
 func TuneSerial(dev *gpusim.Device, model *Model, batches []*embedding.Batch, opts Options) (*Result, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -315,7 +269,7 @@ func TuneSerial(dev *gpusim.Device, model *Model, batches []*embedding.Batch, op
 	nf := len(model.Features)
 	err = runJobs(len(occupancies)*nf, o.Parallelism, func(i int) error {
 		k, f := i/nf, i%nf
-		idx, err := tuneFeature(dev, model, f, occupancies[k], warpsPerBlock, ws, l2, pool, o, nil, nil)
+		idx, err := tuneFeature(dev, model, f, occupancies[k], warpsPerBlock, ws, l2, pool, nil, nil)
 		switch {
 		case errors.Is(err, errInfeasible):
 			// A feature that cannot meet this occupancy rules the
@@ -344,10 +298,7 @@ func TuneSerial(dev *gpusim.Device, model *Model, batches []*embedding.Batch, op
 		total := 0.0
 		ok := true
 		for _, b := range batches {
-			fu, err := fusion.Compile(dev, model.Features, choices, b, fusion.Options{
-				TargetBlocksPerSM: occ,
-				SpillReuse:        o.SpillReuse,
-			})
+			fu, err := fusion.Compile(dev, model.Features, choices, b, fusion.Options{TargetBlocksPerSM: occ})
 			if err != nil {
 				ok = false
 				break
@@ -424,11 +375,11 @@ func occupancyCandidates(dev *gpusim.Device, model *Model, o Options) ([]int, in
 		return o.Occupancies, warps, nil
 	}
 	levels := gpusim.OccupancyLevels(dev, warps)
-	if len(levels) > o.MaxOccupancies {
+	if len(levels) > maxOccupancies {
 		// Thin evenly, always keeping the extremes.
-		thinned := make([]int, 0, o.MaxOccupancies)
-		step := float64(len(levels)-1) / float64(o.MaxOccupancies-1)
-		for i := 0; i < o.MaxOccupancies; i++ {
+		thinned := make([]int, 0, maxOccupancies)
+		step := float64(len(levels)-1) / float64(maxOccupancies-1)
+		for i := 0; i < maxOccupancies; i++ {
 			thinned = append(thinned, levels[int(float64(i)*step+0.5)])
 		}
 		levels = thinned
