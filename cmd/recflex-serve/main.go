@@ -135,9 +135,21 @@ type options struct {
 	session       string
 	replaySession string
 
+	// What parseFlags builds from the flags and has validated.
+	//
 	// queuePolicy is the engine queue policy built from -gpus, -queue,
-	// -deadline and -degrade and validated by parseFlags.
+	// -deadline and -degrade.
 	queuePolicy trace.QueuePolicy
+	// names and configs are the -model entry (single-model mode) or the
+	// -models entries, resolved at the -scale feature divisor; dev is the
+	// device they tune on (-device, or the first -worker-classes class).
+	names   []string
+	configs []*datasynth.ModelConfig
+	dev     *gpusim.Device
+	// fleetTenants and pool are the fleet-mode tenants and shared-pool
+	// configuration (zero outside fleet mode).
+	fleetTenants []fleet.TenantSpec
+	pool         fleet.Config
 }
 
 // generator builds the request-stream generator config from the flags.
@@ -167,14 +179,19 @@ func (o *options) buildQueuePolicy() (trace.QueuePolicy, error) {
 	if o.degrade != "" {
 		p, err := trace.ParseDegradePolicy(o.degrade)
 		if err != nil {
-			return q, err
+			return q, fmt.Errorf("-degrade: %w", err)
 		}
 		q.Policy = p
 	}
 	if o.models != "" && q.Policy != trace.DegradeSplitTail {
 		q.SplitCap = 0
 	}
-	return q, q.Validate()
+	if err := q.Validate(); err != nil {
+		// Quote -deadline as typed, in milliseconds; the engine's message
+		// that follows speaks seconds.
+		return q, fmt.Errorf("-queue %d, -deadline %gms: %w", o.queue, o.deadline, err)
+	}
+	return q, nil
 }
 
 // supervisor builds the continuous serving loop's supervisor config.
@@ -185,8 +202,11 @@ func (o *options) supervisor() trace.SupervisorConfig {
 	}
 }
 
-// parseFlags binds the flag set to an options struct. Usage and parse errors
-// go to w, so tests never write to the process stderr.
+// parseFlags binds the flag set to an options struct, builds every engine
+// config the run will use and lets the engines' own validators judge them,
+// so a bad value fails here, before any model is tuned, by the rule the
+// engine applies. Usage and parse errors go to w, so tests never write to
+// the process stderr.
 func parseFlags(args []string, w io.Writer) (*options, error) {
 	var o options
 	fs := flag.NewFlagSet("recflex-serve", flag.ContinueOnError)
@@ -230,9 +250,9 @@ func parseFlags(args []string, w io.Writer) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	// Reject nonsense at the flag boundary: a zero-worker pool or a negative
-	// queue bound would otherwise surface as a confusing engine error (or,
-	// worse, an all-shed table that reads like a result).
+	// Reject at the flag boundary what no engine judges: a zero-worker pool
+	// (the queue policy reads 0 as one worker) would otherwise read like a
+	// result the user asked for.
 	if o.gpus <= 0 {
 		return nil, fmt.Errorf("-gpus must be positive, got %d", o.gpus)
 	}
@@ -245,28 +265,26 @@ func parseFlags(args []string, w io.Writer) (*options, error) {
 	if !(o.warp > 0) || math.IsInf(o.warp, 0) {
 		return nil, fmt.Errorf("-warp must be positive and finite, got %g", o.warp)
 	}
-	if o.serveDur < 0 {
-		return nil, fmt.Errorf("-serve-duration must be >= 0, got %g", o.serveDur)
+	if !(o.serveDur >= 0) || math.IsInf(o.serveDur, 0) {
+		return nil, fmt.Errorf("-serve-duration must be finite and >= 0, got %g", o.serveDur)
+	}
+	if !(o.drift >= 0) || math.IsInf(o.drift, 0) {
+		return nil, fmt.Errorf("-drift must be finite and >= 0 (0 = steady workload), got %g", o.drift)
 	}
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	// Build the engine configs the run will use and let their own Validate
-	// methods judge them, so a bad value fails here, before any model is
-	// tuned, by the same rule the engine applies.
+	if err := o.rejectDeadFlags(set); err != nil {
+		return nil, err
+	}
 	gen := o.generator(0)
 	if err := gen.Validate(); err != nil {
 		return nil, fmt.Errorf("-qps/-tail: %w", err)
 	}
 	var err error
 	if o.queuePolicy, err = o.buildQueuePolicy(); err != nil {
-		return nil, fmt.Errorf("-queue/-deadline/-degrade: %w", err)
+		return nil, err
 	}
-	switch {
-	case !(o.drift >= 0) || math.IsInf(o.drift, 0):
-		return nil, fmt.Errorf("-drift must be finite and >= 0 (0 = steady workload), got %g", o.drift)
-	case o.drift > 0 && o.models != "":
-		return nil, fmt.Errorf("-drift drives the single-model continuous serving loop; fleet and gateway modes serve fixed schedule sets (for drift and hot-swaps on a shared pool use recflex-bench -exp fleet or examples/fleet)")
-	case o.drift > 0:
+	if o.drift > 0 {
 		if !(o.driftAt >= 0 && o.driftAt < 1) {
 			return nil, fmt.Errorf("-drift-at %g outside [0,1)", o.driftAt)
 		}
@@ -274,33 +292,75 @@ func parseFlags(args []string, w io.Writer) (*options, error) {
 		if err := sup.Validate(); err != nil {
 			return nil, fmt.Errorf("-canary/-rollback-margin: %w", err)
 		}
-	default:
+	}
+	o.names = []string{o.model}
+	if o.models != "" {
+		o.names = strings.Split(o.models, ",")
+	}
+	for i, name := range o.names {
+		o.names[i] = strings.TrimSpace(name)
+		cfg, err := modelConfig(o.names[i], o.scale)
+		if err != nil {
+			return nil, err
+		}
+		o.configs = append(o.configs, cfg)
+	}
+	// The two rules the engine cannot judge: they exist because the fleet
+	// modes install RebalanceByLoad, which repartitions one worker per model
+	// at least and does not honor reservation floors.
+	if o.rebalance > 0 && o.gpus < len(o.configs) {
+		return nil, fmt.Errorf("-rebalance needs at least one worker per model to repartition (%d gpus, %d models)", o.gpus, len(o.configs))
+	}
+	if set["reserve"] && o.rebalance > 0 {
+		return nil, fmt.Errorf("-reserve and -rebalance are mutually exclusive: the load rebalancer does not honor reservation floors")
+	}
+	if o.models != "" {
+		if err := o.buildPool(set); err != nil {
+			return nil, err
+		}
+	}
+	base := o.device
+	if len(o.pool.ClassNames) > 0 {
+		base = o.pool.ClassNames[0]
+	}
+	if o.dev, err = classDevice(base); err != nil {
+		return nil, fmt.Errorf("-device: %v", err)
+	}
+	return &o, nil
+}
+
+// rejectDeadFlags rejects flags the run would silently ignore — dead
+// configuration that reads like it took effect: a flag that shapes a mode or
+// feature the other flags never start.
+func (o *options) rejectDeadFlags(set map[string]bool) error {
+	switch {
+	case o.drift > 0 && o.models != "":
+		return fmt.Errorf("-drift drives the single-model continuous serving loop; fleet and gateway modes serve fixed schedule sets (for drift and hot-swaps on a shared pool use recflex-bench -exp fleet or examples/fleet)")
+	case o.drift == 0:
 		for _, f := range []string{"drift-at", "canary", "rollback-margin"} {
 			if set[f] {
-				return nil, fmt.Errorf("-%s shapes the drift loop that -drift never starts; set -drift > 0", f)
+				return fmt.Errorf("-%s shapes the drift loop that -drift never starts; set -drift > 0", f)
 			}
 		}
 	}
-	// Cache-tier flags: every rejection happens here at the flag boundary, not
-	// after minutes of model tuning inside buildFleetSetup.
-	if set["cache-budget"] && (!(o.cacheBudget > 0) || math.IsInf(o.cacheBudget, 0)) {
-		return nil, fmt.Errorf("-cache-budget must be positive and finite MiB, got %g", o.cacheBudget)
-	}
-	if _, err := emcache.ParsePolicy(o.cachePolicy); err != nil {
-		return nil, fmt.Errorf("-cache-policy: %v", err)
-	}
-	if o.cacheRetier < 0 {
-		return nil, fmt.Errorf("-cache-retier must be >= 0, got %g", o.cacheRetier)
+	switch {
+	case (o.listen != "" || o.replaySession != "") && o.models == "":
+		return fmt.Errorf("-listen and -replay-session serve a shared fleet pool; pass -models (e.g. -models A,C) and the recording run's pool flags")
+	case o.listen != "" && o.replaySession != "":
+		return fmt.Errorf("-listen and -replay-session are mutually exclusive: a run either serves live or verifies a recorded session")
+	case o.listen == "":
+		for _, f := range []string{"session", "warp", "serve-duration"} {
+			if set[f] {
+				return fmt.Errorf("-%s shapes the live gateway that -listen starts; pass -listen", f)
+			}
+		}
 	}
 	if (set["cache-budget"] || set["cache-policy"] || set["cache-retier"]) && o.models == "" {
-		return nil, fmt.Errorf("the embedding-cache tier is a shared-pool feature; -cache-budget/-cache-policy/-cache-retier need fleet mode (-models)")
+		return fmt.Errorf("the embedding-cache tier is a shared-pool feature; -cache-budget/-cache-policy/-cache-retier need fleet mode (-models)")
 	}
-	if (set["cache-policy"] || set["cache-retier"]) && !(o.cacheBudget > 0) {
-		return nil, fmt.Errorf("-cache-policy/-cache-retier shape a tier that -cache-budget never creates; set -cache-budget > 0")
+	if (set["cache-policy"] || set["cache-retier"]) && !set["cache-budget"] {
+		return fmt.Errorf("-cache-policy/-cache-retier shape a tier that -cache-budget never creates; set -cache-budget > 0")
 	}
-	// Pool-shaping flags are fleet-only: outside fleet mode they would be
-	// silently dead configuration that reads like it took effect. Same bar as
-	// the cache flags — reject at the flag boundary, before any tuning.
 	if o.models == "" {
 		for _, f := range []string{
 			"tenants", "policy", "placement", "shed-fraction", "weights", "rebalance",
@@ -308,95 +368,114 @@ func parseFlags(args []string, w io.Writer) (*options, error) {
 			"autoscale-max", "autoscale-every", "autoscale-lag", "autoscale-class",
 		} {
 			if set[f] {
-				return nil, fmt.Errorf("-%s shapes the shared fleet pool; it needs fleet mode (-models)", f)
+				return fmt.Errorf("-%s shapes the shared fleet pool; it needs fleet mode (-models)", f)
 			}
 		}
 	}
-	nModels := 0
-	if o.models != "" {
-		nModels = len(strings.Split(o.models, ","))
+	switch {
+	case set["weights"] && o.policy != "weighted-fair":
+		return fmt.Errorf("-weights only shapes weighted-fair dispatch (got -policy %s); pass -policy weighted-fair", o.policy)
+	case (set["autoscale-every"] || set["autoscale-lag"] || set["autoscale-class"]) && o.autoMax == 0:
+		return fmt.Errorf("-autoscale-every/-autoscale-lag/-autoscale-class shape an autoscaler that -autoscale-max never creates; set -autoscale-max > 0")
+	case set["autoscale-class"] && !set["worker-classes"]:
+		return fmt.Errorf("-autoscale-class selects a device class for a heterogeneous pool; pass -worker-classes too")
+	case set["worker-classes"] && set["device"]:
+		return fmt.Errorf("-worker-classes assigns each worker's device; drop the explicit -device")
 	}
-	if set["weights"] && o.policy != "weighted-fair" {
-		return nil, fmt.Errorf("-weights only shapes weighted-fair dispatch (got -policy %s); pass -policy weighted-fair", o.policy)
+	return nil
+}
+
+// buildPool builds the fleet-mode pool configuration from the flags —
+// tenants, placement, the admission policy with its weights, reservations,
+// worker classes, the autoscaler and the cache tier — passing every value
+// through as typed, and leaves judging it to fleet.Config.Validate (with
+// AutoscaleConfig.Validate) and emcache.New. The pool is built from flags
+// alone, never from runtime state, which is what lets -replay-session
+// rebuild the identical pool in a fresh process.
+func (o *options) buildPool(set map[string]bool) error {
+	tenants, err := parseTenants(o.tenants, len(o.configs))
+	if err != nil {
+		return err
 	}
-	if o.rebalance < 0 {
-		return nil, fmt.Errorf("-rebalance must be >= 0, got %g", o.rebalance)
+	placement, err := fleet.ParseStrategy(o.placement)
+	if err != nil {
+		return err
 	}
-	if o.rebalance > 0 && o.gpus < nModels {
-		return nil, fmt.Errorf("-rebalance needs at least one worker per model to repartition (%d gpus, %d models)", o.gpus, nModels)
+	weights, err := parseWeights(o.weights)
+	if err != nil {
+		return err
 	}
-	// Elastic-pool flags interlock: reservations and autoscaling both pin the
-	// pool's shape, which the load rebalancer would fight over.
+	admission, err := fleet.ParsePolicy(o.policy, tenants, o.shedFraction, weights)
+	if err != nil {
+		return err
+	}
+	c := fleet.Config{
+		Queue:          o.queuePolicy,
+		Placement:      placement,
+		Admission:      admission,
+		ShedFraction:   o.shedFraction,
+		RebalanceEvery: o.rebalance,
+		Preempt:        o.preempt,
+	}
+	if o.rebalance > 0 {
+		c.Rebalance = fleet.NewRebalanceByLoad(fleet.RebalanceByLoadConfig{})
+	}
 	if set["reserve"] {
-		if o.placement == "dedicated" {
-			return nil, fmt.Errorf("-reserve needs packed or spread placement (dedicated already partitions the pool)")
+		if c.Reserve, err = parseReserve(o.reserve); err != nil {
+			return err
 		}
-		if set["rebalance"] {
-			return nil, fmt.Errorf("-reserve and -rebalance are mutually exclusive: the load rebalancer does not honor reservation floors")
+	}
+	// A heterogeneous pool tunes every model on the first listed class and
+	// speed-probes the tuned schedules on each other class's device (the
+	// autoscale class included); see probeClassScales.
+	if set["worker-classes"] {
+		if c.WorkerClasses, c.ClassNames, err = parseWorkerClasses(o.workerClasses); err != nil {
+			return err
 		}
-		res, err := parseReserve(o.reserve, nModels)
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, r := range res {
-			total += r
-		}
-		if total > o.gpus {
-			return nil, fmt.Errorf("-reserve pins %d workers but the pool has only %d", total, o.gpus)
-		}
-		if total == o.gpus {
-			for i, r := range res {
-				if r == 0 {
-					return nil, fmt.Errorf("-reserve leaves no shared workers and model %d reserves none; it could never dispatch", i)
-				}
+	}
+	if o.autoMax != 0 {
+		c.Autoscale = &fleet.AutoscaleConfig{Every: o.autoEvery, Max: o.autoMax, ScaleOutLag: o.autoLag}
+		if set["autoscale-class"] {
+			if _, err := classDevice(o.autoClass); err != nil {
+				return fmt.Errorf("-autoscale-class: %v", err)
+			}
+			if c.Autoscale.Class = indexOf(c.ClassNames, o.autoClass); c.Autoscale.Class < 0 {
+				c.Autoscale.Class = len(c.ClassNames)
+				c.ClassNames = append(c.ClassNames, o.autoClass)
 			}
 		}
 	}
-	if o.autoMax < 0 {
-		return nil, fmt.Errorf("-autoscale-max must be >= 0 (0 disables autoscaling), got %d", o.autoMax)
-	}
-	if (set["autoscale-every"] || set["autoscale-lag"] || set["autoscale-class"]) && o.autoMax == 0 {
-		return nil, fmt.Errorf("-autoscale-every/-autoscale-lag/-autoscale-class shape an autoscaler that -autoscale-max never creates; set -autoscale-max > 0")
-	}
-	if o.autoMax > 0 {
-		if o.autoMax < o.gpus {
-			return nil, fmt.Errorf("-autoscale-max %d below the initial -gpus %d", o.autoMax, o.gpus)
+	if set["cache-budget"] {
+		// The budget converts from MiB to bytes here, so only this guard can
+		// keep the conversion in range.
+		if !(o.cacheBudget > 0 && o.cacheBudget < math.MaxInt64>>20) {
+			return fmt.Errorf("-cache-budget must be positive and finite MiB (below 2^43), got %g", o.cacheBudget)
 		}
-		if set["rebalance"] {
-			return nil, fmt.Errorf("-autoscale-max and -rebalance are mutually exclusive: the autoscaler owns the pool's shape")
-		}
-		if o.placement == "dedicated" {
-			return nil, fmt.Errorf("-autoscale-max needs packed or spread placement (a dedicated partition has no shared workers to grow)")
-		}
-		if !(o.autoEvery > 0) || math.IsInf(o.autoEvery, 0) {
-			return nil, fmt.Errorf("-autoscale-every must be positive and finite seconds, got %g", o.autoEvery)
-		}
-		if o.autoLag < 0 || math.IsNaN(o.autoLag) || math.IsInf(o.autoLag, 0) {
-			return nil, fmt.Errorf("-autoscale-lag must be finite and >= 0, got %g", o.autoLag)
-		}
-	}
-	if set["worker-classes"] {
-		if set["device"] {
-			return nil, fmt.Errorf("-worker-classes assigns each worker's device; drop the explicit -device")
-		}
-		classes, _, err := parseWorkerClasses(o.workerClasses)
+		// The tier's heat profiles come from the same model configs the batch
+		// generator uses, so the analytic hit accounting matches the traffic.
+		cachePolicy, err := emcache.ParsePolicy(o.cachePolicy)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("-cache-policy: %v", err)
 		}
-		if len(classes) != o.gpus {
-			return nil, fmt.Errorf("-worker-classes lists %d classes for %d gpus (one per worker)", len(classes), o.gpus)
+		heats := make([]emcache.ModelProfile, len(o.configs))
+		for i, cfg := range o.configs {
+			heats[i] = emcache.Steady(experiments.CacheHeat(cfg))
+		}
+		if c.Cache, err = emcache.New(emcache.Config{
+			BudgetBytes: int64(o.cacheBudget * (1 << 20)),
+			Policy:      cachePolicy,
+			RetierEvery: o.cacheRetier,
+			Models:      heats,
+			Tenants:     len(tenants),
+		}); err != nil {
+			return err
 		}
 	}
-	if set["autoscale-class"] {
-		if !set["worker-classes"] {
-			return nil, fmt.Errorf("-autoscale-class selects a device class for a heterogeneous pool; pass -worker-classes too")
-		}
-		if _, err := classDevice(o.autoClass); err != nil {
-			return nil, fmt.Errorf("-autoscale-class: %v", err)
-		}
+	if err := c.Validate(len(o.configs), len(tenants)); err != nil {
+		return err
 	}
-	return &o, nil
+	o.fleetTenants, o.pool = tenants, c
+	return nil
 }
 
 // classDevice resolves one -worker-classes entry to its simulated device.
@@ -435,18 +514,14 @@ func parseWorkerClasses(s string) ([]int, []string, error) {
 
 // parseReserve decodes the -reserve flag: one exclusive-worker count per
 // -models entry, in order.
-func parseReserve(s string, models int) ([]int, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != models {
-		return nil, fmt.Errorf("-reserve lists %d counts for %d models (one comma-separated count per -models entry)", len(parts), models)
-	}
-	out := make([]int, models)
-	for i, p := range parts {
+func parseReserve(s string) ([]int, error) {
+	var out []int
+	for _, p := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("-reserve: bad count %q (want an integer >= 0)", strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("-reserve: bad count %q (want an integer)", strings.TrimSpace(p))
 		}
-		out[i] = n
+		out = append(out, n)
 	}
 	return out, nil
 }
@@ -477,10 +552,7 @@ func run(args []string, w io.Writer) error {
 		return runFleet(o, w)
 	}
 
-	cfg, dev, err := modelDevice(o.model, o.device, o.scale)
-	if err != nil {
-		return err
-	}
+	cfg, dev := o.configs[0], o.dev
 	features := experiments.Features(cfg)
 	rf, err := tuneModel(cfg, dev, features)
 	if err != nil {
@@ -568,21 +640,20 @@ func errIfNoneAdmitted(served, total int) error {
 	return fmt.Errorf("zero of %d requests were admitted and served — every request was shed before dispatch; relax -queue, -deadline, -degrade or the tenant quotas", total)
 }
 
-// modelDevice resolves the -model/-device/-scale flags.
-func modelDevice(model, device string, scale int) (*datasynth.ModelConfig, *gpusim.Device, error) {
-	configs := map[string]*datasynth.ModelConfig{
-		"A": datasynth.ModelA(), "B": datasynth.ModelB(), "C": datasynth.ModelC(),
-		"D": datasynth.ModelD(), "E": datasynth.ModelE(), "mlperf": datasynth.MLPerfLike(),
-	}
-	cfg, ok := configs[model]
+// modelConfigs maps every model name -model and -models accept to its
+// full-size config.
+var modelConfigs = map[string]func() *datasynth.ModelConfig{
+	"A": datasynth.ModelA, "B": datasynth.ModelB, "C": datasynth.ModelC,
+	"D": datasynth.ModelD, "E": datasynth.ModelE, "mlperf": datasynth.MLPerfLike,
+}
+
+// modelConfig resolves one model name at the -scale feature divisor.
+func modelConfig(name string, scale int) (*datasynth.ModelConfig, error) {
+	full, ok := modelConfigs[name]
 	if !ok {
-		return nil, nil, fmt.Errorf("unknown model %q", model)
+		return nil, fmt.Errorf("unknown model %q", name)
 	}
-	dev, err := classDevice(device)
-	if err != nil {
-		return nil, nil, fmt.Errorf("unknown device %q", device)
-	}
-	return datasynth.Scaled(cfg, scale), dev, nil
+	return datasynth.Scaled(full(), scale), nil
 }
 
 // tuneModel tunes a fresh RecFlex instance on two historical batches, the
@@ -751,7 +822,9 @@ func parseTenants(s string, models int) ([]fleet.TenantSpec, error) {
 			t.Deadline = ms * 1e-3
 		}
 		if err := t.Validate(); err != nil {
-			return nil, err
+			// Quote the entry as typed: its deadline is in milliseconds, the
+			// engine's message speaks seconds.
+			return nil, fmt.Errorf("-tenants %s: %w", entry, err)
 		}
 		out = append(out, t)
 	}
@@ -787,84 +860,34 @@ func parseWeights(s string) (map[int]float64, error) {
 	return out, nil
 }
 
-// fleetSetup is everything a shared-pool serving mode needs: the tuned
-// models, tenants, per-model request streams and the pool configuration —
-// built identically for the batch replay (runFleet), the live gateway
-// (runGateway) and the offline session verifier (runReplaySession). Building
-// it from the same flags is what lets a recorded gateway session replay
-// bit-identically in a separate process.
+// fleetSetup is what a shared-pool serving mode adds to the pool
+// configuration parseFlags built: one independently tuned frozen model per
+// -models entry and its request stream — built identically for the batch
+// replay (runFleet), the live gateway (runGateway) and the offline session
+// verifier (runReplaySession). Building it from the same flags is what lets a
+// recorded gateway session replay bit-identically in a separate process.
 type fleetSetup struct {
-	dev      *gpusim.Device
-	models   []core.FleetModel
-	tenants  []fleet.TenantSpec
-	streams  []fleet.Stream
-	cfg      fleet.Config
-	strategy fleet.Strategy
-	// classes and workerClass mirror cfg.ClassNames/cfg.WorkerClasses for the
-	// report (empty for a homogeneous pool).
-	classes     []string
-	workerClass []int
+	models  []core.FleetModel
+	streams []fleet.Stream
 }
 
-// buildFleetSetup resolves the fleet flags: tenants, placement, admission
-// policy, one independently tuned frozen model per -models entry (each with a
-// deterministic per-model trace seed) and the shared pool configuration.
+// buildFleetSetup tunes one frozen model per -models entry, speed-probes it
+// on every further worker class of a heterogeneous pool (the probed service
+// ratio becomes the model's per-class ClassScale), and generates its request
+// stream from a deterministic per-model trace seed.
 func buildFleetSetup(o *options) (*fleetSetup, error) {
-	names := strings.Split(o.models, ",")
-	tenants, err := parseTenants(o.tenants, len(names))
-	if err != nil {
-		return nil, err
-	}
-	strategy, err := fleet.ParseStrategy(o.placement)
-	if err != nil {
-		return nil, err
-	}
-	weights, err := parseWeights(o.weights)
-	if err != nil {
-		return nil, err
-	}
-	admission, err := fleet.ParsePolicy(o.policy, tenants, o.shedFraction, weights)
-	if err != nil {
-		return nil, err
-	}
-	s := &fleetSetup{tenants: tenants, strategy: strategy}
-	var reserves []int
-	if o.reserve != "" {
-		if reserves, err = parseReserve(o.reserve, len(names)); err != nil {
-			return nil, err
-		}
-	}
-	// A heterogeneous pool tunes every model on the first listed class and
-	// speed-probes the tuned schedules on each other class's device; the
-	// probed service ratio becomes the model's per-class ClassScale. Built
-	// from flags alone, so a recorded session replays bit-identically.
-	baseDev := o.device
-	if o.workerClasses != "" {
-		if s.workerClass, s.classes, err = parseWorkerClasses(o.workerClasses); err != nil {
-			return nil, err
-		}
-		baseDev = s.classes[0]
-		if o.autoClass != "" && indexOf(s.classes, o.autoClass) < 0 {
-			s.classes = append(s.classes, o.autoClass)
-		}
-	}
-	var heats []emcache.ModelProfile
-	for i, name := range names {
-		name = strings.TrimSpace(name)
-		cfg, d, err := modelDevice(name, baseDev, o.scale)
-		if err != nil {
-			return nil, err
-		}
-		heats = append(heats, emcache.Steady(experiments.CacheHeat(cfg)))
-		s.dev = d
+	s := &fleetSetup{}
+	classes := o.pool.ClassNames
+	for i, cfg := range o.configs {
+		name := o.names[i]
 		features := experiments.Features(cfg)
-		rf, err := tuneModel(cfg, d, features)
+		rf, err := tuneModel(cfg, o.dev, features)
 		if err != nil {
 			return nil, fmt.Errorf("model %s: %w", name, err)
 		}
 		var classScale []float64
-		if len(s.classes) > 1 {
-			if classScale, err = probeClassScales(cfg, features, rf, s.classes); err != nil {
+		if len(classes) > 1 {
+			if classScale, err = probeClassScales(cfg, features, rf, classes); err != nil {
 				return nil, fmt.Errorf("model %s: %w", name, err)
 			}
 		}
@@ -873,67 +896,20 @@ func buildFleetSetup(o *options) (*fleetSetup, error) {
 			return nil, err
 		}
 		label := name
-		if len(names) > 1 {
+		if len(o.names) > 1 {
 			label = fmt.Sprintf("%s/%d", name, i)
 		}
-		c := cfg
-		fm := core.FleetModel{
+		s.models = append(s.models, core.FleetModel{
 			Name: label,
 			Rec:  rf,
 			Source: func(_ float64, size int) (*embedding.Batch, error) {
-				return datasynth.BatchForSize(c, size)
+				return datasynth.BatchForSize(cfg, size)
 			},
 			Opts:       core.ContinuousOptions{Quantum: sizeQuantum},
 			Frozen:     true,
 			ClassScale: classScale,
-		}
-		if reserves != nil {
-			fm.Reserve = reserves[i]
-		}
-		s.models = append(s.models, fm)
-		s.streams = append(s.streams, fleet.Stream{Model: i, Tenant: i % len(tenants), Reqs: reqs})
-	}
-	s.cfg = fleet.Config{
-		Queue:         o.queuePolicy,
-		Placement:     strategy,
-		Admission:     admission,
-		ShedFraction:  o.shedFraction,
-		Preempt:       o.preempt,
-		WorkerClasses: s.workerClass,
-		ClassNames:    s.classes,
-	}
-	if o.rebalance > 0 {
-		s.cfg.RebalanceEvery = o.rebalance
-		s.cfg.Rebalance = fleet.NewRebalanceByLoad(fleet.RebalanceByLoadConfig{})
-	}
-	if o.autoMax > 0 {
-		as := &fleet.AutoscaleConfig{Every: o.autoEvery, Max: o.autoMax, ScaleOutLag: o.autoLag}
-		if o.autoClass != "" {
-			as.Class = indexOf(s.classes, o.autoClass)
-		}
-		s.cfg.Autoscale = as
-	}
-	if o.cacheBudget > 0 {
-		// The tier's heat profiles come from the same model configs the batch
-		// generator uses, so the analytic hit accounting matches the traffic.
-		// Building the tier from flags alone (never from runtime state) is what
-		// lets -replay-session reconstruct the identical tier in a fresh
-		// process.
-		cachePolicy, err := emcache.ParsePolicy(o.cachePolicy)
-		if err != nil {
-			return nil, err
-		}
-		tier, err := emcache.New(emcache.Config{
-			BudgetBytes: int64(o.cacheBudget * (1 << 20)),
-			Policy:      cachePolicy,
-			RetierEvery: o.cacheRetier,
-			Models:      heats,
-			Tenants:     len(tenants),
 		})
-		if err != nil {
-			return nil, err
-		}
-		s.cfg.Cache = tier
+		s.streams = append(s.streams, fleet.Stream{Model: i, Tenant: i % len(o.fleetTenants), Reqs: reqs})
 	}
 	return s, nil
 }
@@ -1045,16 +1021,11 @@ func runFleet(o *options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dev, models, tenants := s.dev, s.models, s.tenants
+	tenants := o.fleetTenants
 	merged := fleet.Merge(s.streams...)
-
-	devName := dev.Name
-	if len(s.classes) > 1 {
-		devName = strings.Join(s.classes, "+")
-	}
 	fmt.Fprintf(w, "fleet serving: %d models x %d requests at %.0f qps each on a shared %dx %s pool (%s placement, %s admission)\n\n",
-		len(models), o.requests, o.qps, o.gpus, devName, s.strategy, o.policy)
-	res, err := core.ServeFleet(s.cfg, models, tenants, merged)
+		len(s.models), o.requests, o.qps, o.gpus, o.poolDevice(), o.pool.Placement, o.policy)
+	res, err := core.ServeFleet(o.pool, s.models, tenants, merged)
 	if err != nil {
 		return err
 	}
@@ -1092,27 +1063,36 @@ func runFleet(o *options, w io.Writer) error {
 	fmt.Fprintf(w, "per-worker utilization over a %.2fms makespan:\n", m.Makespan*1e3)
 	for g, wk := range m.Workers {
 		fmt.Fprintf(w, "  gpu%-2d%s %6d reqs  busy %8s  util %5.1f%%\n",
-			g, s.workerLabel(g, m), wk.Served, report.FmtUS(wk.Busy), wk.Utilization*100)
+			g, o.workerLabel(g, m), wk.Served, report.FmtUS(wk.Busy), wk.Utilization*100)
 	}
 	return nil
+}
+
+// poolDevice names the pool's device for the banners: the tuning device, or
+// every class of a heterogeneous pool ("V100+A100").
+func (o *options) poolDevice() string {
+	if len(o.pool.ClassNames) > 1 {
+		return strings.Join(o.pool.ClassNames, "+")
+	}
+	return o.dev.Name
 }
 
 // workerLabel names worker g's device class for the utilization lines, e.g.
 // " [A100]"; empty for a homogeneous pool. Autoscaled runs record every
 // worker's class in WorkerLives; static heterogeneous pools read the flag's
 // per-worker classes.
-func (s *fleetSetup) workerLabel(g int, m *fleet.Metrics) string {
-	if len(s.classes) == 0 {
+func (o *options) workerLabel(g int, m *fleet.Metrics) string {
+	if len(o.pool.ClassNames) == 0 {
 		return ""
 	}
 	c := 0
 	switch {
 	case g < len(m.WorkerLives):
 		c = m.WorkerLives[g].Class
-	case g < len(s.workerClass):
-		c = s.workerClass[g]
+	case g < len(o.pool.WorkerClasses):
+		c = o.pool.WorkerClasses[g]
 	}
-	return fmt.Sprintf(" [%s]", s.classes[c])
+	return fmt.Sprintf(" [%s]", o.pool.ClassNames[c])
 }
 
 // runGateway is the real-time front door: it builds the same shared pool the
@@ -1123,14 +1103,11 @@ func (s *fleetSetup) workerLabel(g int, m *fleet.Metrics) string {
 // the pool as a self-check — the same bit-identical verification
 // -replay-session runs in a separate process.
 func runGateway(o *options, w io.Writer) error {
-	if o.models == "" {
-		return fmt.Errorf("-listen serves a shared fleet pool; pass -models (e.g. -models A,C)")
-	}
 	s, err := buildFleetSetup(o)
 	if err != nil {
 		return err
 	}
-	pool, _, err := core.BuildFleetPool(s.cfg, s.models, s.tenants)
+	pool, _, err := core.BuildFleetPool(o.pool, s.models, o.fleetTenants)
 	if err != nil {
 		return err
 	}
@@ -1153,12 +1130,8 @@ func runGateway(o *options, w io.Writer) error {
 	}
 	srv := &http.Server{Handler: g.Handler()}
 	go srv.Serve(ln)
-	gwDev := s.dev.Name
-	if len(s.classes) > 1 {
-		gwDev = strings.Join(s.classes, "+")
-	}
 	fmt.Fprintf(w, "gateway: %d models, %d tenants on a shared %dx %s pool (%s placement, %s admission)\n",
-		len(s.models), len(s.tenants), o.gpus, gwDev, s.strategy, o.policy)
+		len(s.models), len(o.fleetTenants), o.gpus, o.poolDevice(), o.pool.Placement, o.policy)
 	fmt.Fprintf(w, "listening on http://%s (time-warp %gx: 1 wall second = %g simulated seconds)\n",
 		ln.Addr(), o.warp, o.warp)
 	fmt.Fprintf(w, "endpoints: POST /v1/infer, GET /v1/metrics, GET /healthz\n")
@@ -1228,25 +1201,23 @@ func runGateway(o *options, w io.Writer) error {
 
 // runReplaySession rebuilds the pool from the same flags as the recording run
 // and replays a recorded gateway session through it offline, verifying every
-// outcome, sojourn, worker and generation bit for bit.
+// outcome, sojourn, worker and generation bit for bit. The log is read first,
+// so a missing or damaged one fails before any model is tuned.
 func runReplaySession(o *options, w io.Writer) error {
-	if o.models == "" {
-		return fmt.Errorf("-replay-session rebuilds the recording run's pool; pass the same -models (and pool flags) as the gateway run")
-	}
-	s, err := buildFleetSetup(o)
-	if err != nil {
-		return err
-	}
-	pool, _, err := core.BuildFleetPool(s.cfg, s.models, s.tenants)
-	if err != nil {
-		return err
-	}
 	f, err := os.Open(o.replaySession)
 	if err != nil {
 		return err
 	}
 	sess, err := gateway.ReadSession(f)
 	f.Close()
+	if err != nil {
+		return err
+	}
+	s, err := buildFleetSetup(o)
+	if err != nil {
+		return err
+	}
+	pool, _, err := core.BuildFleetPool(o.pool, s.models, o.fleetTenants)
 	if err != nil {
 		return err
 	}

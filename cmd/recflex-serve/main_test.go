@@ -212,7 +212,7 @@ func TestParseWeights(t *testing.T) {
 	}
 }
 
-// Flag validation fails fast, before any tuning happens.
+// Flag validation fails fast, inside parseFlags, before any tuning happens.
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-model", "Z"},
@@ -227,17 +227,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-models", "A", "-policy", "weighted-fair", "-weights", "9:2"},
 		{"-models", "A", "-tenants", "hi:1,lo:0", "-policy", "weighted-fair", "-weights", "1:0,0:0"},
 		{"-models", "Z,A"},
+		{"-models", "A,Z"},
 	}
 	for _, args := range cases {
-		if err := run(args, io.Discard); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		if _, err := parseFlags(args, io.Discard); err == nil {
+			t.Errorf("parseFlags(%v) succeeded, want error", args)
 		}
 	}
 }
 
-// parseFlags builds the generator, queue and supervisor configs from the
-// flags and runs their own Validate methods, so each of these fails at
-// flag-parse time, before any model is tuned.
+// parseFlags builds the generator, queue, supervisor and fleet pool configs
+// from the flags and runs their own Validate methods, so each of these fails
+// at flag-parse time, before any model is tuned.
 func TestParseFlagsValidatesEngineConfigs(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -247,14 +248,25 @@ func TestParseFlagsValidatesEngineConfigs(t *testing.T) {
 		{[]string{"-models", "A", "-degrade", "gracefully"}, "unknown degrade policy"},
 		{[]string{"-tail", "2"}, "TailProb"},
 		{[]string{"-models", "A", "-tail", "-0.5"}, "TailProb"},
+		{[]string{"-qps", "NaN"}, "QPS"},
+		{[]string{"-models", "A", "-qps", "NaN"}, "QPS"},
+		{[]string{"-tail", "NaN"}, "TailProb"},
 		{[]string{"-deadline", "-1"}, "Deadline"},
 		{[]string{"-models", "A", "-deadline", "-1"}, "Deadline"},
+		// The flag is in milliseconds: the message quotes it as typed before
+		// the engine's seconds.
+		{[]string{"-deadline", "-1"}, "-deadline -1ms: trace: Deadline must be >= 0, got -0.001"},
+		{[]string{"-deadline", "NaN"}, "-deadline NaNms"},
+		{[]string{"-models", "A", "-tenants", "hi:1:0:NaN"}, "Deadline"},
+		{[]string{"-models", "A", "-tenants", "hi:1:0:-1"}, "-tenants hi:1:0:-1: fleet: tenant hi: Deadline must be >= 0, got -0.001"},
+		{[]string{"-models", "A,Z"}, "unknown model"},
 		{[]string{"-drift", "-1"}, "-drift must be"},
 		{[]string{"-drift", "NaN"}, "-drift must be"},
 		{[]string{"-drift", "2", "-drift-at", "1.5"}, "-drift-at"},
 		{[]string{"-drift", "2", "-drift-at", "-0.1"}, "-drift-at"},
 		{[]string{"-drift", "2", "-canary", "-1"}, "CanaryWindow"},
 		{[]string{"-drift", "2", "-rollback-margin", "-0.1"}, "RollbackMargin"},
+		{[]string{"-drift", "2", "-rollback-margin", "NaN"}, "RollbackMargin"},
 		{[]string{"-models", "A", "-drift", "2"}, "single-model"},
 		{[]string{"-models", "A", "-replay-session", "s.log", "-drift", "2"}, "single-model"},
 		// Drift-loop flags without -drift are dead configuration.
@@ -300,8 +312,9 @@ func TestParseFlagsValidatesEngineConfigs(t *testing.T) {
 	}
 }
 
-// The cache-tier flag sweep: every bad spelling fails at flag-parse time with
-// a message naming the offending flag, before any model is tuned.
+// The cache-tier flag sweep: every bad spelling fails inside parseFlags, before
+// any model is tuned, with a message naming the offending flag or, where
+// emcache.New judges the value, the tier's field.
 func TestRunRejectsBadCacheFlags(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -310,8 +323,13 @@ func TestRunRejectsBadCacheFlags(t *testing.T) {
 		{[]string{"-models", "A", "-cache-budget", "0"}, "-cache-budget"},
 		{[]string{"-models", "A", "-cache-budget", "-4"}, "-cache-budget"},
 		{[]string{"-models", "A", "-cache-budget", "+Inf"}, "-cache-budget"},
+		{[]string{"-models", "A", "-cache-budget", "NaN"}, "-cache-budget"},
+		{[]string{"-models", "A", "-cache-budget", "1e300"}, "-cache-budget"},
 		{[]string{"-models", "A", "-cache-budget", "4", "-cache-policy", "arc"}, "-cache-policy"},
-		{[]string{"-models", "A", "-cache-budget", "4", "-cache-retier", "-1"}, "-cache-retier"},
+		{[]string{"-models", "A", "-cache-budget", "4", "-cache-retier", "-1"}, "RetierEvery"},
+		{[]string{"-models", "A", "-cache-budget", "4", "-cache-retier", "NaN"}, "RetierEvery"},
+		// The tier's heat comes from every listed model's config.
+		{[]string{"-models", "A,Z", "-cache-budget", "4"}, "unknown model"},
 		// Cache flags outside fleet mode are dead configuration: reject.
 		{[]string{"-cache-budget", "4"}, "fleet mode"},
 		{[]string{"-cache-policy", "lru"}, "-cache-policy"},
@@ -321,20 +339,20 @@ func TestRunRejectsBadCacheFlags(t *testing.T) {
 		{[]string{"-models", "A", "-cache-retier", "0.5"}, "-cache-budget"},
 	}
 	for _, c := range cases {
-		err := run(c.args, io.Discard)
+		_, err := parseFlags(c.args, io.Discard)
 		if err == nil {
-			t.Errorf("run(%v) succeeded, want error", c.args)
+			t.Errorf("parseFlags(%v) succeeded, want error", c.args)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("run(%v) error %q does not mention %q", c.args, err, c.want)
+			t.Errorf("parseFlags(%v) error %q does not mention %q", c.args, err, c.want)
 		}
 	}
 }
 
-// The elastic-pool flag sweep: every inconsistent combination fails at
-// flag-parse time with a message naming the offending flag, before any model
-// is tuned.
+// The elastic-pool flag sweep: every inconsistent combination fails inside
+// parseFlags, before any model is tuned, with a message naming the offending
+// flag or, where fleet.Config.Validate judges the value, the config field.
 func TestRunRejectsBadElasticFlags(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -352,30 +370,36 @@ func TestRunRejectsBadElasticFlags(t *testing.T) {
 		{[]string{"-models", "A", "-weights", "1:2"}, "weighted-fair"},
 		// The load rebalancer repartitions; it needs a worker per model.
 		{[]string{"-models", "A,A", "-gpus", "1", "-rebalance", "0.01"}, "-rebalance"},
-		{[]string{"-models", "A", "-rebalance", "-1"}, "-rebalance"},
+		{[]string{"-models", "A", "-rebalance", "-1"}, "RebalanceEvery"},
+		{[]string{"-models", "A", "-rebalance", "NaN"}, "RebalanceEvery"},
+		{[]string{"-models", "A", "-queue", "8", "-shed-fraction", "NaN"}, "ShedFraction"},
+		{[]string{"-models", "A", "-shed-fraction", "0.5"}, "bounded queue"},
+		{[]string{"-models", "A,Z"}, "unknown model"},
 		// Reservations: count list aligned with -models, exclusive with the
 		// rebalancer and dedicated placement, bounded by the pool.
-		{[]string{"-models", "A", "-reserve", "1,1"}, "-reserve"},
+		{[]string{"-models", "A", "-reserve", "1,1"}, "Reserve has 2 entries"},
 		{[]string{"-models", "A", "-reserve", "x"}, "-reserve"},
-		{[]string{"-models", "A", "-reserve", "-1"}, "-reserve"},
+		{[]string{"-models", "A", "-reserve", "-1"}, "Reserve[0]"},
 		{[]string{"-models", "A", "-reserve", "1", "-rebalance", "0.01"}, "mutually exclusive"},
 		{[]string{"-models", "A", "-placement", "dedicated", "-reserve", "1"}, "dedicated"},
-		{[]string{"-models", "A", "-gpus", "2", "-reserve", "3"}, "-reserve"},
+		{[]string{"-models", "A", "-gpus", "2", "-reserve", "3"}, "Reserve pins"},
 		{[]string{"-models", "A,A", "-gpus", "2", "-reserve", "2,0"}, "shared"},
 		// Autoscaling: sub-flags without -autoscale-max are dead, the
 		// rebalancer fights the autoscaler over the pool's shape, and the
 		// ceiling cannot sit below the initial worker count.
 		{[]string{"-models", "A", "-autoscale-every", "0.1"}, "-autoscale-max"},
 		{[]string{"-models", "A", "-autoscale-lag", "0.1"}, "-autoscale-max"},
-		{[]string{"-models", "A", "-autoscale-max", "-1"}, "-autoscale-max"},
-		{[]string{"-models", "A", "-gpus", "2", "-autoscale-max", "1"}, "-autoscale-max"},
+		{[]string{"-models", "A", "-autoscale-max", "-1"}, "Autoscale.Max"},
+		{[]string{"-models", "A", "-gpus", "2", "-autoscale-max", "1"}, "Autoscale.Max"},
 		{[]string{"-models", "A", "-autoscale-max", "2", "-rebalance", "0.01"}, "mutually exclusive"},
-		{[]string{"-models", "A", "-autoscale-max", "2", "-autoscale-every", "0"}, "-autoscale-every"},
-		{[]string{"-models", "A", "-autoscale-max", "2", "-autoscale-lag", "-1"}, "-autoscale-lag"},
+		{[]string{"-models", "A", "-autoscale-max", "2", "-autoscale-every", "0"}, "Autoscale.Every"},
+		{[]string{"-models", "A", "-autoscale-max", "2", "-autoscale-every", "NaN"}, "Autoscale.Every"},
+		{[]string{"-models", "A", "-autoscale-max", "2", "-autoscale-lag", "-1"}, "ScaleOutLag"},
+		{[]string{"-models", "A", "-autoscale-max", "2", "-autoscale-lag", "NaN"}, "ScaleOutLag"},
 		{[]string{"-models", "A", "-placement", "dedicated", "-autoscale-max", "2"}, "dedicated"},
 		// Worker classes: one per -gpus entry, known device names only, and
 		// the explicit -device flag contradicts per-worker devices.
-		{[]string{"-models", "A", "-gpus", "2", "-worker-classes", "V100"}, "-worker-classes"},
+		{[]string{"-models", "A", "-gpus", "2", "-worker-classes", "V100"}, "WorkerClasses"},
 		{[]string{"-models", "A", "-gpus", "1", "-worker-classes", "H100"}, "H100"},
 		{[]string{"-models", "A", "-gpus", "1", "-device", "A100", "-worker-classes", "A100"}, "-device"},
 		// The autoscale class needs the heterogeneous pool and a real device.
@@ -383,13 +407,13 @@ func TestRunRejectsBadElasticFlags(t *testing.T) {
 		{[]string{"-models", "A", "-gpus", "1", "-worker-classes", "V100", "-autoscale-max", "2", "-autoscale-class", "H100"}, "H100"},
 	}
 	for _, c := range cases {
-		err := run(c.args, io.Discard)
+		_, err := parseFlags(c.args, io.Discard)
 		if err == nil {
-			t.Errorf("run(%v) succeeded, want error", c.args)
+			t.Errorf("parseFlags(%v) succeeded, want error", c.args)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("run(%v) error %q does not mention %q", c.args, err, c.want)
+			t.Errorf("parseFlags(%v) error %q does not mention %q", c.args, err, c.want)
 		}
 	}
 }
@@ -540,8 +564,16 @@ func TestRunRejectsBadGatewayFlags(t *testing.T) {
 		{"-warp", "-3"},
 		{"-warp", "+Inf"},
 		{"-serve-duration", "-1"},
+		{"-models", "A", "-listen", ":0", "-serve-duration", "NaN"},
+		{"-models", "A", "-listen", ":0", "-serve-duration", "+Inf"},
 		{"-listen", "127.0.0.1:0"},      // gateway needs -models
 		{"-replay-session", "nope.log"}, // replay needs -models
+		// Gateway flags without -listen are dead configuration.
+		{"-models", "A", "-session", "s.log"},
+		{"-models", "A", "-warp", "10"},
+		{"-models", "A", "-serve-duration", "1"},
+		{"-models", "A", "-replay-session", "s.log", "-warp", "10"},
+		{"-models", "A", "-listen", ":0", "-replay-session", "s.log"},
 		{"-models", "A", "-listen", ":0", "-drift", "2"}, // drift is batch-only
 		{"-models", "A", "-replay-session", "/nonexistent/x.log", "-scale", "400"},
 	}

@@ -29,11 +29,6 @@ type FleetModel struct {
 	Opts ContinuousOptions
 	// Frozen disables drift control for this model.
 	Frozen bool
-	// Reserve is the model's exclusive worker floor under packed/spread
-	// placement (fleet.Model.Reserve): that many workers serve only this
-	// model, host its background tunes, and are never drained by the
-	// autoscaler.
-	Reserve int
 	// ClassScale maps device classes to service-time multipliers
 	// (fleet.Model.ClassScale); empty means every class runs at 1x.
 	ClassScale []float64
@@ -108,7 +103,6 @@ func BuildFleetPool(cfg fleet.Config, models []FleetModel, tenants []fleet.Tenan
 			fm[i] = fleet.Model{
 				Name:       m.Name,
 				Service:    m.Rec.TimedService(m.Source, m.Opts.Quantum, m.Opts.PhaseOf),
-				Reserve:    m.Reserve,
 				ClassScale: m.ClassScale,
 			}
 			continue
@@ -117,7 +111,7 @@ func BuildFleetPool(cfg fleet.Config, models []FleetModel, tenants []fleet.Tenan
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: fleet model %s: %w", m.Name, err)
 		}
-		fm[i] = fleet.Model{Name: m.Name, Supervisor: sv, Reserve: m.Reserve, ClassScale: m.ClassScale}
+		fm[i] = fleet.Model{Name: m.Name, Supervisor: sv, ClassScale: m.ClassScale}
 		commits = append(commits, commit)
 	}
 	pool, err := fleet.NewPool(cfg, fm, tenants)

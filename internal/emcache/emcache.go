@@ -292,16 +292,16 @@ func New(cfg Config) (*Tier, error) {
 	if cfg.Policy < PolicyStatic || cfg.Policy > PolicyClock {
 		return nil, fmt.Errorf("emcache: unknown policy %d", int(cfg.Policy))
 	}
-	if cfg.RetierEvery < 0 {
+	if !(cfg.RetierEvery >= 0) {
 		return nil, fmt.Errorf("emcache: RetierEvery must be >= 0, got %g", cfg.RetierEvery)
 	}
-	if cfg.HeatDecay < 0 || cfg.HeatDecay >= 1 {
+	if !(cfg.HeatDecay >= 0 && cfg.HeatDecay < 1) {
 		return nil, fmt.Errorf("emcache: HeatDecay %g outside [0,1)", cfg.HeatDecay)
 	}
 	if cfg.HeatDecay == 0 {
 		cfg.HeatDecay = 0.5
 	}
-	if cfg.FillThreshold < 0 {
+	if !(cfg.FillThreshold >= 0) {
 		return nil, fmt.Errorf("emcache: FillThreshold must be >= 0, got %g", cfg.FillThreshold)
 	}
 	if cfg.FillThreshold == 0 {

@@ -74,8 +74,11 @@ func TestNewValidation(t *testing.T) {
 		"no tenants":      mutate(func(c *Config) { c.Tenants = 0 }),
 		"bad policy":      mutate(func(c *Config) { c.Policy = Policy(99) }),
 		"negative retier": mutate(func(c *Config) { c.RetierEvery = -1 }),
+		"NaN retier":      mutate(func(c *Config) { c.RetierEvery = math.NaN() }),
 		"heatdecay 1":     mutate(func(c *Config) { c.HeatDecay = 1 }),
+		"NaN heatdecay":   mutate(func(c *Config) { c.HeatDecay = math.NaN() }),
 		"negative fill":   mutate(func(c *Config) { c.FillThreshold = -1 }),
+		"NaN fill":        mutate(func(c *Config) { c.FillThreshold = math.NaN() }),
 		"no phases":       mutate(func(c *Config) { c.Models[0].Phases = nil }),
 		"no features":     mutate(func(c *Config) { c.Models[0].Phases = []ProfilePhase{{}} }),
 		"unsorted phases": mutate(func(c *Config) {

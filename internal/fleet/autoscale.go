@@ -19,7 +19,7 @@ import (
 //     DownBacklog and more than Min workers are active, the highest-indexed
 //     non-reserved worker drains: it leaves every model's placement (no new
 //     dispatches) and retires once its in-flight work completes. Reserved
-//     workers (Model.Reserve) are never drained, and a worker that is some
+//     workers (Config.Reserve) are never drained, and a worker that is some
 //     model's last placement is skipped.
 //
 // Every decision is a pure function of virtual time and the recorded
@@ -62,7 +62,7 @@ func (a *AutoscaleConfig) Validate(initial int) error {
 		return fmt.Errorf("fleet: Autoscale.ScaleOutLag must be finite and >= 0, got %g", a.ScaleOutLag)
 	case a.Class < 0:
 		return fmt.Errorf("fleet: Autoscale.Class must be >= 0, got %d", a.Class)
-	case a.UpBacklog < 0 || a.DownBacklog < 0:
+	case !(a.UpBacklog >= 0 && a.DownBacklog >= 0):
 		return fmt.Errorf("fleet: Autoscale backlog thresholds must be >= 0")
 	case a.Window < 0:
 		return fmt.Errorf("fleet: Autoscale.Window must be >= 0, got %d", a.Window)

@@ -38,7 +38,7 @@ func (t *TenantSpec) Validate() error {
 		return fmt.Errorf("fleet: tenant name must be non-empty")
 	case t.Quota < 0:
 		return fmt.Errorf("fleet: tenant %s: Quota must be >= 0, got %d", t.Name, t.Quota)
-	case t.Deadline < 0:
+	case !(t.Deadline >= 0):
 		return fmt.Errorf("fleet: tenant %s: Deadline must be >= 0, got %g", t.Name, t.Deadline)
 	}
 	return nil
@@ -59,15 +59,6 @@ type Model struct {
 	// monotone on the supervisor's LiveSet exactly as under
 	// trace.Supervisor.Run.
 	Supervisor *trace.Supervisor
-	// Reserve is the model's exclusive worker floor under packed or spread
-	// placement: assign() carves this many of the lowest-indexed workers out
-	// of the shared set for this model alone, rebalance assignments must keep
-	// at least Reserve workers exclusive to the model, the autoscaler never
-	// drains a reserved worker, and the model's background re-tunes prefer
-	// its reserved workers — the "tune on a dedicated spare" discipline.
-	// 0 means no reservation. Rejected under dedicated placement, where every
-	// worker is already exclusive.
-	Reserve int
 	// ClassScale is the model's per-worker-class service-time multiplier: a
 	// dispatch on a worker of class c runs the resolved service time times
 	// ClassScale[c] (missing entries and nil default to 1). This is how a
@@ -89,8 +80,6 @@ func (m *Model) Validate() error {
 		return fmt.Errorf("fleet: model %s: one of Service or Supervisor must be set", m.Name)
 	case m.Service != nil && m.Supervisor != nil:
 		return fmt.Errorf("fleet: model %s: Service and Supervisor are mutually exclusive", m.Name)
-	case m.Reserve < 0:
-		return fmt.Errorf("fleet: model %s: Reserve must be >= 0, got %d", m.Name, m.Reserve)
 	}
 	for c, s := range m.ClassScale {
 		if !(s > 0) || math.IsInf(s, 1) {
@@ -116,6 +105,15 @@ type Config struct {
 	Queue trace.QueuePolicy
 	// Placement assigns models to workers (see Strategy).
 	Placement Strategy
+	// Reserve holds each model's exclusive worker floor under packed or
+	// spread placement, one entry per model in pool order (nil reserves
+	// nothing): the lowest sum(Reserve) worker ids are carved out as
+	// exclusive blocks in model order, rebalance assignments must keep every
+	// floor, the autoscaler never drains a reserved worker, and a model's
+	// background re-tunes prefer its reserved workers — the "tune on a
+	// dedicated spare" discipline. Rejected under dedicated placement, where
+	// every worker is already exclusive.
+	Reserve []int
 	// Admission decides who enters the queue and who dispatches next; nil
 	// means NewPriorityEDF over the pool's tenants with ShedFraction.
 	Admission AdmissionPolicy
@@ -183,7 +181,7 @@ func (c *Config) Validate(models, tenants int) error {
 		return fmt.Errorf("fleet: need at least one tenant")
 	case c.Placement < PlacementPacked || c.Placement > PlacementDedicated:
 		return fmt.Errorf("fleet: unknown placement strategy %d", int(c.Placement))
-	case c.ShedFraction < 0 || c.ShedFraction > 1:
+	case !(c.ShedFraction >= 0 && c.ShedFraction <= 1):
 		return fmt.Errorf("fleet: ShedFraction %g outside [0,1]", c.ShedFraction)
 	case c.ShedFraction > 0 && c.Queue.QueueDepth == 0:
 		// Load-aware shedding triggers at ShedFraction * QueueDepth queued
@@ -191,12 +189,16 @@ func (c *Config) Validate(models, tenants int) error {
 		// the feature silently never fires. Reject the dead combination
 		// instead of letting it masquerade as protection.
 		return fmt.Errorf("fleet: ShedFraction %g requires a bounded queue (QueueDepth > 0): load-aware shedding never fires over an unbounded queue", c.ShedFraction)
-	case c.RebalanceEvery < 0:
+	case !(c.RebalanceEvery >= 0):
 		return fmt.Errorf("fleet: RebalanceEvery must be >= 0, got %g", c.RebalanceEvery)
 	}
-	if c.Placement == PlacementDedicated && c.Queue.EffectiveWorkers() < models {
+	workers := c.Queue.EffectiveWorkers()
+	if c.Placement == PlacementDedicated && workers < models {
 		return fmt.Errorf("fleet: dedicated placement needs at least one worker per model (%d workers, %d models)",
-			c.Queue.EffectiveWorkers(), models)
+			workers, models)
+	}
+	if err := c.validateReserve(models, workers); err != nil {
+		return err
 	}
 	if c.Cache != nil {
 		if c.Cache.Models() != models {
@@ -206,9 +208,9 @@ func (c *Config) Validate(models, tenants int) error {
 			return fmt.Errorf("fleet: cache tier built for %d tenants, pool has %d", c.Cache.Tenants(), tenants)
 		}
 	}
-	if len(c.WorkerClasses) != 0 && len(c.WorkerClasses) != c.Queue.EffectiveWorkers() {
+	if len(c.WorkerClasses) != 0 && len(c.WorkerClasses) != workers {
 		return fmt.Errorf("fleet: WorkerClasses has %d entries for %d workers (must cover every worker or be nil)",
-			len(c.WorkerClasses), c.Queue.EffectiveWorkers())
+			len(c.WorkerClasses), workers)
 	}
 	for w, cls := range c.WorkerClasses {
 		if cls < 0 {
@@ -225,11 +227,42 @@ func (c *Config) Validate(models, tenants int) error {
 		if c.Rebalance != nil {
 			return fmt.Errorf("fleet: Autoscale and Rebalance are mutually exclusive (the autoscaler owns the pool's shape)")
 		}
-		if err := c.Autoscale.Validate(c.Queue.EffectiveWorkers()); err != nil {
+		if err := c.Autoscale.Validate(workers); err != nil {
 			return err
 		}
 		if len(c.ClassNames) > 0 && c.Autoscale.Class >= len(c.ClassNames) {
 			return fmt.Errorf("fleet: Autoscale.Class %d outside the %d named classes", c.Autoscale.Class, len(c.ClassNames))
+		}
+	}
+	return nil
+}
+
+// validateReserve checks the reservation shape against the placement and the
+// initial pool: one floor >= 0 per model, none under dedicated placement, no
+// more than the pool holds, and never so many that a model reserving nothing
+// is left without a worker.
+func (c *Config) validateReserve(models, workers int) error {
+	if len(c.Reserve) == 0 {
+		return nil
+	}
+	if len(c.Reserve) != models {
+		return fmt.Errorf("fleet: Reserve has %d entries for %d models (one per model, or nil)", len(c.Reserve), models)
+	}
+	total := 0
+	for m, r := range c.Reserve {
+		switch {
+		case r < 0:
+			return fmt.Errorf("fleet: Reserve[%d] must be >= 0, got %d", m, r)
+		case r > 0 && c.Placement == PlacementDedicated:
+			return fmt.Errorf("fleet: Reserve needs packed or spread placement (dedicated already partitions the pool)")
+		case r > workers-total:
+			return fmt.Errorf("fleet: Reserve pins more workers than the pool's %d", workers)
+		}
+		total += r
+	}
+	for m, r := range c.Reserve {
+		if total == workers && r == 0 {
+			return fmt.Errorf("fleet: Reserve leaves no shared workers and model %d reserves none; it could never dispatch", m)
 		}
 	}
 	return nil

@@ -116,10 +116,11 @@ func dispatchSessions() []dispatchSession {
 			cfg: Config{
 				Queue:     trace.QueuePolicy{Workers: 3, QueueDepth: 96, Policy: trace.DegradeSplitTail, SplitCap: 256},
 				Preempt:   true,
+				Reserve:   []int{1, 0, 0},
 				Autoscale: &AutoscaleConfig{Every: 0.002, Max: 7, ScaleOutLag: 0.0005, Window: 2},
 			},
 			models: []Model{
-				{Name: "a", Service: svc(4e-6), Reserve: 1},
+				{Name: "a", Service: svc(4e-6)},
 				{Name: "b", Service: svc(3e-6)},
 				{Name: "c", Service: svc(2e-6)},
 			},

@@ -152,13 +152,13 @@ func TestFleetWorkerClassScaling(t *testing.T) {
 	}
 }
 
-// Model.Reserve carves exclusive workers out of the shared pool: the initial
+// Config.Reserve carves exclusive workers out of the shared pool: the initial
 // assignment honors the floor, a rebalance that would break it is rejected,
 // and a reserved model's background tunes land on its spare.
 func TestFleetReservations(t *testing.T) {
-	p := mustPool(t, fleet.Config{Queue: trace.QueuePolicy{Workers: 3}},
+	p := mustPool(t, fleet.Config{Queue: trace.QueuePolicy{Workers: 3}, Reserve: []int{1, 0}},
 		[]fleet.Model{
-			{Name: "a", Service: constSvc(1.0), Reserve: 1},
+			{Name: "a", Service: constSvc(1.0)},
 			{Name: "b", Service: constSvc(1.0)},
 		}, oneTenant())
 	want := fleet.Assignment{{0, 1, 2}, {1, 2}}
@@ -170,18 +170,19 @@ func TestFleetReservations(t *testing.T) {
 	if _, err := fleet.NewPool(fleet.Config{
 		Queue:     trace.QueuePolicy{Workers: 2},
 		Placement: fleet.PlacementDedicated,
+		Reserve:   []int{1, 0},
 	}, []fleet.Model{
-		{Name: "a", Service: constSvc(1), Reserve: 1},
+		{Name: "a", Service: constSvc(1)},
 		{Name: "b", Service: constSvc(1)},
 	}, oneTenant()); err == nil {
 		t.Error("Reserve under dedicated placement was accepted")
 	}
 
 	// Reservations exceeding the pool are rejected.
-	if _, err := fleet.NewPool(fleet.Config{Queue: trace.QueuePolicy{Workers: 2}},
+	if _, err := fleet.NewPool(fleet.Config{Queue: trace.QueuePolicy{Workers: 2}, Reserve: []int{2, 1}},
 		[]fleet.Model{
-			{Name: "a", Service: constSvc(1), Reserve: 2},
-			{Name: "b", Service: constSvc(1), Reserve: 1},
+			{Name: "a", Service: constSvc(1)},
+			{Name: "b", Service: constSvc(1)},
 		}, oneTenant()); err == nil {
 		t.Error("reservations larger than the pool were accepted")
 	}
@@ -190,12 +191,13 @@ func TestFleetReservations(t *testing.T) {
 	// must be rejected as an engine error.
 	bad := mustPool(t, fleet.Config{
 		Queue:          trace.QueuePolicy{Workers: 3},
+		Reserve:        []int{1, 0},
 		RebalanceEvery: 0.1,
 		Rebalance: func(now float64, hist []fleet.LoadSnapshot, cur fleet.Assignment) fleet.Assignment {
 			return fleet.Assignment{{1, 2}, {1, 2}} // no exclusive worker for model a
 		},
 	}, []fleet.Model{
-		{Name: "a", Service: constSvc(0.5), Reserve: 1},
+		{Name: "a", Service: constSvc(0.5)},
 		{Name: "b", Service: constSvc(0.5)},
 	}, oneTenant())
 	var reqs []fleet.Request
@@ -211,10 +213,8 @@ func TestFleetReservations(t *testing.T) {
 // spare — the "tune on a dedicated worker" shape — instead of contending on
 // the shared workers.
 func TestFleetReserveTunesOnSpare(t *testing.T) {
-	reserved := driftyModel(t, "a", 2e-3, 0.2)
-	reserved.Reserve = 1
-	models := []fleet.Model{reserved, {Name: "b", Service: constSvc(2e-3)}}
-	p := mustPool(t, fleet.Config{Queue: trace.QueuePolicy{Workers: 3}}, models,
+	models := []fleet.Model{driftyModel(t, "a", 2e-3, 0.2), {Name: "b", Service: constSvc(2e-3)}}
+	p := mustPool(t, fleet.Config{Queue: trace.QueuePolicy{Workers: 3}, Reserve: []int{1, 0}}, models,
 		[]fleet.TenantSpec{{Name: "lo"}, {Name: "hi", Priority: 1}})
 	rep := mustServe(t, p, fleetStream(t, 400, 11))
 	ws := rep.Metrics.Workers

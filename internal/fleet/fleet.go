@@ -48,7 +48,8 @@ type Pool struct {
 	// model each (assign carves them lowest-index-first in model order). The
 	// autoscaler never drains them.
 	reserved int
-	// reserves caches each model's Reserve floor for rebalance validation.
+	// reserves holds each model's Config.Reserve floor (0 for every model
+	// without one) for rebalance validation and tune placement.
 	reserves []int
 }
 
@@ -58,8 +59,6 @@ func NewPool(cfg Config, models []Model, tenants []TenantSpec) (*Pool, error) {
 		return nil, err
 	}
 	seenSv := make(map[*trace.Supervisor]string)
-	reserves := make([]int, len(models))
-	totalRes := 0
 	maxClass := 0
 	for i := range models {
 		if err := models[i].Validate(); err != nil {
@@ -71,11 +70,6 @@ func NewPool(cfg Config, models []Model, tenants []TenantSpec) (*Pool, error) {
 			}
 			seenSv[sv] = models[i].Name
 		}
-		if models[i].Reserve > 0 && cfg.Placement == PlacementDedicated {
-			return nil, fmt.Errorf("fleet: model %s: Reserve needs packed or spread placement (dedicated already partitions the pool)", models[i].Name)
-		}
-		reserves[i] = models[i].Reserve
-		totalRes += models[i].Reserve
 		if len(models[i].ClassScale) > maxClass {
 			maxClass = len(models[i].ClassScale)
 		}
@@ -88,23 +82,22 @@ func NewPool(cfg Config, models []Model, tenants []TenantSpec) (*Pool, error) {
 			return nil, err
 		}
 	}
-	initial, err := assign(cfg.Placement, len(models), cfg.Queue.EffectiveWorkers(), reserves)
-	if err != nil {
-		return nil, err
+	reserves := make([]int, len(models))
+	totalRes := 0
+	for m, r := range cfg.Reserve {
+		reserves[m] = r
+		totalRes += r
 	}
 	policy := cfg.Admission
 	if policy == nil {
 		policy = NewPriorityEDF(tenants, cfg.ShedFraction)
-	}
-	if cfg.Placement == PlacementDedicated {
-		totalRes = 0
 	}
 	return &Pool{
 		cfg:      cfg,
 		models:   append([]Model(nil), models...),
 		tenants:  append([]TenantSpec(nil), tenants...),
 		policy:   policy,
-		initial:  initial,
+		initial:  assign(cfg.Placement, len(models), cfg.Queue.EffectiveWorkers(), reserves),
 		reserved: totalRes,
 		reserves: reserves,
 	}, nil

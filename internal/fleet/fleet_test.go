@@ -489,7 +489,8 @@ func TestFleetServeErrors(t *testing.T) {
 		{"bad model", []fleet.Request{{Arrival: 0, Size: 16, Model: 7}}, "unknown model"},
 		{"bad tenant", []fleet.Request{{Arrival: 0, Size: 16, Tenant: 2}}, "unknown tenant"},
 		{"bad size", []fleet.Request{{Arrival: 0, Size: 0}}, "non-positive size"},
-		{"bad deadline", []fleet.Request{{Arrival: 0, Size: 16, Deadline: -1}}, "negative deadline"},
+		{"bad deadline", []fleet.Request{{Arrival: 0, Size: 16, Deadline: -1}}, "negative or NaN deadline"},
+		{"NaN deadline", []fleet.Request{{Arrival: 0, Size: 16, Deadline: math.NaN()}}, "negative or NaN deadline"},
 	}
 	for _, tc := range cases {
 		if _, err := p.Serve(tc.reqs); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -528,7 +529,27 @@ func TestNewPoolErrors(t *testing.T) {
 		{"dead shed fraction", fleet.Config{Queue: okQueue, ShedFraction: 0.5}, okModels, oneTenant(), "bounded queue"},
 		{"placement", fleet.Config{Queue: okQueue, Placement: fleet.Strategy(9)}, okModels, oneTenant(), "placement"},
 		{"shed fraction", fleet.Config{Queue: okQueue, ShedFraction: 1.5}, okModels, oneTenant(), "ShedFraction"},
+		{"NaN shed fraction", fleet.Config{Queue: trace.QueuePolicy{Workers: 2, QueueDepth: 8}, ShedFraction: math.NaN()},
+			okModels, oneTenant(), "ShedFraction"},
 		{"rebalance pacing", fleet.Config{Queue: okQueue, RebalanceEvery: -1}, okModels, oneTenant(), "RebalanceEvery"},
+		{"NaN rebalance pacing", fleet.Config{Queue: okQueue, RebalanceEvery: math.NaN()}, okModels, oneTenant(), "RebalanceEvery"},
+		{"reserve count", fleet.Config{Queue: okQueue, Reserve: []int{1, 0}}, okModels, oneTenant(), "Reserve has 2 entries"},
+		{"negative reserve", fleet.Config{Queue: okQueue, Reserve: []int{-1}}, okModels, oneTenant(), "Reserve[0]"},
+		{"dedicated reserve", fleet.Config{Queue: okQueue, Placement: fleet.PlacementDedicated, Reserve: []int{1}},
+			okModels, oneTenant(), "dedicated"},
+		{"oversubscribed reserve", fleet.Config{Queue: okQueue, Reserve: []int{3}}, okModels, oneTenant(), "more workers than"},
+		{"huge reserve", fleet.Config{Queue: okQueue, Reserve: []int{1, math.MaxInt}},
+			[]fleet.Model{{Name: "a", Service: constSvc(1)}, {Name: "b", Service: constSvc(1)}}, oneTenant(), "more workers than"},
+		{"reserve starves a model", fleet.Config{Queue: okQueue, Reserve: []int{2, 0}},
+			[]fleet.Model{{Name: "a", Service: constSvc(1)}, {Name: "b", Service: constSvc(1)}}, oneTenant(), "no shared workers"},
+		{"autoscale below pool", fleet.Config{Queue: okQueue, Autoscale: &fleet.AutoscaleConfig{Every: 1, Max: 1}},
+			okModels, oneTenant(), "Autoscale.Max"},
+		{"NaN autoscale pacing", fleet.Config{Queue: okQueue, Autoscale: &fleet.AutoscaleConfig{Every: math.NaN(), Max: 4}},
+			okModels, oneTenant(), "Autoscale.Every"},
+		{"NaN up backlog", fleet.Config{Queue: okQueue, Autoscale: &fleet.AutoscaleConfig{Every: 1, Max: 4, UpBacklog: math.NaN()}},
+			okModels, oneTenant(), "backlog"},
+		{"NaN down backlog", fleet.Config{Queue: okQueue, Autoscale: &fleet.AutoscaleConfig{Every: 1, Max: 4, DownBacklog: math.NaN()}},
+			okModels, oneTenant(), "backlog"},
 		{"dedicated short", fleet.Config{Queue: trace.QueuePolicy{Workers: 1}, Placement: fleet.PlacementDedicated},
 			[]fleet.Model{{Name: "a", Service: constSvc(1)}, {Name: "b", Service: constSvc(1)}}, oneTenant(),
 			"one worker per model"},
@@ -541,6 +562,7 @@ func TestNewPoolErrors(t *testing.T) {
 		{"nameless tenant", fleet.Config{Queue: okQueue}, okModels, []fleet.TenantSpec{{}}, "tenant name"},
 		{"bad quota", fleet.Config{Queue: okQueue}, okModels, []fleet.TenantSpec{{Name: "t", Quota: -1}}, "Quota"},
 		{"bad tenant deadline", fleet.Config{Queue: okQueue}, okModels, []fleet.TenantSpec{{Name: "t", Deadline: -1}}, "Deadline"},
+		{"NaN tenant deadline", fleet.Config{Queue: okQueue}, okModels, []fleet.TenantSpec{{Name: "t", Deadline: math.NaN()}}, "Deadline"},
 	}
 	for _, tc := range cases {
 		if _, err := fleet.NewPool(tc.cfg, tc.models, tc.tenants); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -246,8 +246,8 @@ func (p *Pool) validateRequest(i int, r Request) error {
 		return fmt.Errorf("fleet: request %d belongs to unknown tenant %d (have %d)", i, r.Tenant, len(p.tenants))
 	case r.Size <= 0:
 		return fmt.Errorf("fleet: request %d has non-positive size %d", i, r.Size)
-	case r.Deadline < 0:
-		return fmt.Errorf("fleet: request %d has negative deadline %g", i, r.Deadline)
+	case !(r.Deadline >= 0):
+		return fmt.Errorf("fleet: request %d has negative or NaN deadline %g", i, r.Deadline)
 	}
 	return nil
 }

@@ -117,53 +117,14 @@ func validateReserves(a Assignment, reserves []int) error {
 	return nil
 }
 
-// assign builds the initial assignment for a strategy. reserves, when
-// non-nil, holds each model's exclusive worker floor (Model.Reserve) for
-// packed/spread placement: the lowest sum(reserves) worker ids are carved
-// out as exclusive blocks in model order, and every model additionally gets
-// the remaining shared workers. Dedicated placement ignores reserves (the
-// caller rejects that combination).
-func assign(s Strategy, models, workers int, reserves []int) (Assignment, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("fleet: need at least one worker, got %d", workers)
-	}
+// assign builds the initial assignment for a strategy over a pool shape that
+// Config.Validate accepted. reserves holds each model's exclusive worker floor
+// (Config.Reserve, zero under dedicated placement): the lowest sum(reserves)
+// worker ids are carved out as exclusive blocks in model order, and every
+// model additionally gets the remaining shared workers.
+func assign(s Strategy, models, workers int, reserves []int) Assignment {
 	out := make(Assignment, models)
-	switch s {
-	case PlacementPacked, PlacementSpread:
-		totalRes := 0
-		for _, r := range reserves {
-			totalRes += r
-		}
-		if totalRes > workers {
-			return nil, fmt.Errorf("fleet: model reservations need %d workers, pool has %d", totalRes, workers)
-		}
-		shared := make([]int, 0, workers-totalRes)
-		for w := totalRes; w < workers; w++ {
-			shared = append(shared, w)
-		}
-		// Each model gets its own copy of its worker list: the rows must
-		// not share a backing array, or editing one model's placement (e.g. in
-		// a rebalance hook handed the assignment) would silently edit all of
-		// them.
-		next := 0
-		for m := range out {
-			row := make([]int, 0, workers)
-			if m < len(reserves) {
-				for i := 0; i < reserves[m]; i++ {
-					row = append(row, next)
-					next++
-				}
-			}
-			row = append(row, shared...)
-			if len(row) == 0 {
-				return nil, fmt.Errorf("fleet: model %d has no workers: reservations take all %d and it reserves none", m, workers)
-			}
-			out[m] = row
-		}
-	case PlacementDedicated:
-		if workers < models {
-			return nil, fmt.Errorf("fleet: dedicated placement needs at least one worker per model (%d workers, %d models)", workers, models)
-		}
+	if s == PlacementDedicated {
 		// Contiguous blocks of size floor(W/M), the first W%M models taking
 		// one extra.
 		base, extra := workers/models, workers%models
@@ -178,10 +139,29 @@ func assign(s Strategy, models, workers int, reserves []int) (Assignment, error)
 				next++
 			}
 		}
-	default:
-		return nil, fmt.Errorf("fleet: unknown placement strategy %d", int(s))
+		return out
 	}
-	return out, nil
+	totalRes := 0
+	for _, r := range reserves {
+		totalRes += r
+	}
+	shared := make([]int, 0, workers-totalRes)
+	for w := totalRes; w < workers; w++ {
+		shared = append(shared, w)
+	}
+	// Each model gets its own copy of its worker list: the rows must not
+	// share a backing array, or editing one model's placement (e.g. in a
+	// rebalance hook handed the assignment) would silently edit all of them.
+	next := 0
+	for m := range out {
+		row := make([]int, 0, workers)
+		for i := 0; i < reserves[m]; i++ {
+			row = append(row, next)
+			next++
+		}
+		out[m] = append(row, shared...)
+	}
+	return out
 }
 
 // WorkerLoad is the per-worker load snapshot a rebalance hook sees.

@@ -11,10 +11,7 @@ import (
 // silently edited every model's. Each row must own its storage.
 func TestAssignRowsDoNotAlias(t *testing.T) {
 	for _, s := range []Strategy{PlacementPacked, PlacementSpread} {
-		asg, err := assign(s, 3, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		asg := assign(s, 3, 2, make([]int, 3))
 		asg[0][0] = 99
 		for m := 1; m < len(asg); m++ {
 			if asg[m][0] == 99 {

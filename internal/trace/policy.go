@@ -85,7 +85,7 @@ func (p *QueuePolicy) Validate() error {
 		return fmt.Errorf("trace: Workers must be >= 0, got %d", p.Workers)
 	case p.QueueDepth < 0:
 		return fmt.Errorf("trace: QueueDepth must be >= 0, got %d", p.QueueDepth)
-	case p.Deadline < 0:
+	case !(p.Deadline >= 0):
 		return fmt.Errorf("trace: Deadline must be >= 0, got %g", p.Deadline)
 	case p.SplitCap < 0:
 		return fmt.Errorf("trace: SplitCap must be >= 0, got %d", p.SplitCap)

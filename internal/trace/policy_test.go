@@ -20,6 +20,7 @@ func TestQueuePolicyValidate(t *testing.T) {
 		{"negative workers", QueuePolicy{Workers: -1}, "Workers"},
 		{"negative queue depth", QueuePolicy{QueueDepth: -2}, "QueueDepth"},
 		{"negative deadline", QueuePolicy{Deadline: -0.5}, "Deadline"},
+		{"NaN deadline", QueuePolicy{Deadline: math.NaN()}, "Deadline"},
 		{"negative split cap", QueuePolicy{SplitCap: -3}, "SplitCap"},
 		{"policy below range", QueuePolicy{Policy: DegradePolicy(-1)}, "unknown policy"},
 		{"policy above range", QueuePolicy{Policy: DegradeShed + 1}, "unknown policy"},

@@ -707,7 +707,10 @@ func (s *Server) Serve(reqs []Request) (*Report, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("trace: empty request stream")
 	}
-	sorted, order := arrivalOrder(reqs)
+	sorted, order, err := arrivalOrder(reqs)
+	if err != nil {
+		return nil, err
+	}
 	times, err := s.resolveServiceTimes(sorted)
 	if err != nil {
 		return nil, err

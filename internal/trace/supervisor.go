@@ -177,17 +177,17 @@ func (c *SupervisorConfig) Validate() error {
 		return fmt.Errorf("trace: Window must be >= 0, got %d", c.Window)
 	case c.CheckEvery < 0:
 		return fmt.Errorf("trace: CheckEvery must be >= 0, got %d", c.CheckEvery)
-	case c.TuneDuration < 0:
+	case !(c.TuneDuration >= 0):
 		return fmt.Errorf("trace: TuneDuration must be >= 0, got %g", c.TuneDuration)
-	case c.Cooldown < 0:
+	case !(c.Cooldown >= 0):
 		return fmt.Errorf("trace: Cooldown must be >= 0, got %g", c.Cooldown)
 	case c.MaxRetunes < 0:
 		return fmt.Errorf("trace: MaxRetunes must be >= 0, got %d", c.MaxRetunes)
 	case c.CanaryWindow < 0:
 		return fmt.Errorf("trace: CanaryWindow must be >= 0, got %d", c.CanaryWindow)
-	case c.CanaryDuration < 0:
+	case !(c.CanaryDuration >= 0):
 		return fmt.Errorf("trace: CanaryDuration must be >= 0, got %g", c.CanaryDuration)
-	case c.RollbackMargin < 0:
+	case !(c.RollbackMargin >= 0):
 		return fmt.Errorf("trace: RollbackMargin must be >= 0, got %g", c.RollbackMargin)
 	}
 	return nil
@@ -452,8 +452,11 @@ func (sv *Supervisor) Run(reqs []Request) (*Report, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("trace: empty request stream")
 	}
+	sorted, order, err := arrivalOrder(reqs)
+	if err != nil {
+		return nil, err
+	}
 	lc := sv.BeginRun()
-	sorted, order := arrivalOrder(reqs)
 
 	admit := func(st *replayState, r Request, now float64) (int, error) {
 		return lc.Admit(st, r.Size, now)

@@ -442,6 +442,52 @@ func TestSupervisorGenerationsMonotoneZeroLostProperty(t *testing.T) {
 	}
 }
 
+// Both replay entry points reject a malformed request up front, by the rules
+// fleet.Live.Admit applies (finite arrival, size > 0, deadline >= 0), instead
+// of indexing past the engine's scratch.
+func TestServeRejectsMalformedRequests(t *testing.T) {
+	srv, err := trace.NewServer(trace.ServerConfig{Workers: 2}, func(size int) (float64, error) { return 1e-3, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := trace.NewSupervisor(trace.SupervisorConfig{}, constTimed(1e-3), neverDrift,
+		func(int, []trace.WindowEntry) (trace.TimedServiceFunc, error) { return constTimed(1e-3), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		bad  trace.Request
+		want string
+	}{
+		{"NaN arrival", trace.Request{Arrival: math.NaN(), Size: 16}, "non-finite arrival"},
+		{"+Inf arrival", trace.Request{Arrival: math.Inf(1), Size: 16}, "non-finite arrival"},
+		{"-Inf arrival", trace.Request{Arrival: math.Inf(-1), Size: 16}, "non-finite arrival"},
+		{"zero size", trace.Request{Arrival: 1e-3, Size: 0}, "non-positive size"},
+		{"negative size", trace.Request{Arrival: 1e-3, Size: -4}, "non-positive size"},
+		{"negative deadline", trace.Request{Arrival: 1e-3, Size: 16, Deadline: -1}, "negative or NaN deadline"},
+		{"NaN deadline", trace.Request{Arrival: 1e-3, Size: 16, Deadline: math.NaN()}, "negative or NaN deadline"},
+	}
+	for _, tc := range cases {
+		reqs := []trace.Request{{Arrival: 0, Size: 16}, tc.bad, {Arrival: 2e-3, Size: 32}}
+		want := "request 1 has " + tc.want
+		if _, err := srv.Serve(reqs); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Server.Serve err = %v, want %q", tc.name, err, want)
+		}
+		if _, err := sv.Run(reqs); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Supervisor.Run err = %v, want %q", tc.name, err, want)
+		}
+	}
+	// A rejected run leaves both engines usable.
+	good := []trace.Request{{Arrival: 0, Size: 16}, {Arrival: 1e-3, Size: 32, Deadline: math.Inf(1)}}
+	if _, err := srv.Serve(good); err != nil {
+		t.Errorf("Server.Serve after rejections: %v", err)
+	}
+	if _, err := sv.Run(good); err != nil {
+		t.Errorf("Supervisor.Run after rejections: %v", err)
+	}
+}
+
 func TestSupervisorErrors(t *testing.T) {
 	ok := constTimed(1e-3)
 	okDetect := neverDrift
@@ -459,8 +505,15 @@ func TestSupervisorErrors(t *testing.T) {
 		{Window: -1},
 		{CheckEvery: -1},
 		{TuneDuration: -1},
+		{TuneDuration: math.NaN()},
 		{Cooldown: -1},
+		{Cooldown: math.NaN()},
 		{MaxRetunes: -1},
+		{CanaryDuration: -1},
+		{CanaryDuration: math.NaN()},
+		{RollbackMargin: -0.1},
+		{RollbackMargin: math.NaN()},
+		{Server: trace.ServerConfig{Deadline: math.NaN()}},
 		{Server: trace.ServerConfig{Workers: -2}},
 	} {
 		if _, err := trace.NewSupervisor(bad, ok, okDetect, okRetune); err == nil {

@@ -52,13 +52,13 @@ const MinBatch = 16
 // Validate checks the generator configuration.
 func (c *GeneratorConfig) Validate() error {
 	switch {
-	case c.QPS <= 0:
+	case !(c.QPS > 0):
 		return fmt.Errorf("trace: QPS must be positive, got %g", c.QPS)
 	case c.MaxBatch <= 0:
 		return fmt.Errorf("trace: MaxBatch must be positive, got %d", c.MaxBatch)
 	case c.MaxBatch < MinBatch:
 		return fmt.Errorf("trace: MaxBatch %d below the generator floor MinBatch=%d", c.MaxBatch, MinBatch)
-	case c.TailProb < 0 || c.TailProb > 1:
+	case !(c.TailProb >= 0 && c.TailProb <= 1):
 		return fmt.Errorf("trace: TailProb %g outside [0,1]", c.TailProb)
 	case c.TailProb > 0 && c.TailSize <= 0:
 		return fmt.Errorf("trace: TailSize must be positive when TailProb > 0")
@@ -101,24 +101,32 @@ func Generate(n int, cfg GeneratorConfig) ([]Request, error) {
 // ServiceFunc returns the GPU service time of a request of the given size.
 type ServiceFunc func(size int) (float64, error)
 
-// arrivalOrder returns reqs sorted by arrival time together with a mapping
-// from sorted position to original index, so results can be reported in the
-// caller's order. FIFO queueing math silently produces negative waits on
-// out-of-order input, so every serve entry point normalizes through here.
-// When the input is already sorted (the common case — Generate emits
-// monotone arrivals) the input slice itself and a nil mapping are returned
-// and no allocation happens. The sort is stable: simultaneous arrivals keep
-// their input order.
-func arrivalOrder(reqs []Request) ([]Request, []int) {
+// arrivalOrder validates reqs and returns them sorted by arrival time
+// together with a mapping from sorted position to original index, so results
+// can be reported in the caller's order. FIFO queueing math silently produces
+// negative waits on out-of-order input, and a non-finite arrival or a
+// non-positive size would index past the engine's scratch, so every serve
+// entry point normalizes through here: one pass rejects a malformed request
+// (the rules fleet.Live.Admit applies) and detects order. When the input is
+// already sorted (the common case — Generate emits monotone arrivals) the
+// input slice itself and a nil mapping are returned and no allocation
+// happens. The sort is stable: simultaneous arrivals keep their input order.
+func arrivalOrder(reqs []Request) ([]Request, []int, error) {
 	sorted := true
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Arrival < reqs[i-1].Arrival {
+	for i, r := range reqs {
+		switch {
+		case math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0):
+			return nil, nil, fmt.Errorf("trace: request %d has non-finite arrival %g", i, r.Arrival)
+		case r.Size <= 0:
+			return nil, nil, fmt.Errorf("trace: request %d has non-positive size %d", i, r.Size)
+		case !(r.Deadline >= 0):
+			return nil, nil, fmt.Errorf("trace: request %d has negative or NaN deadline %g", i, r.Deadline)
+		case i > 0 && r.Arrival < reqs[i-1].Arrival:
 			sorted = false
-			break
 		}
 	}
 	if sorted {
-		return reqs, nil
+		return reqs, nil, nil
 	}
 	order := make([]int, len(reqs))
 	for i := range order {
@@ -131,7 +139,7 @@ func arrivalOrder(reqs []Request) ([]Request, []int) {
 	for pos, idx := range order {
 		out[pos] = reqs[idx]
 	}
-	return out, order
+	return out, order, nil
 }
 
 // originalIndex maps a sorted position back to the caller's index.
@@ -167,7 +175,10 @@ func Serve(reqs []Request, service ServiceFunc) (*Result, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("trace: empty request stream")
 	}
-	reqs, order := arrivalOrder(reqs)
+	reqs, order, err := arrivalOrder(reqs)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Sojourn: make([]float64, len(reqs))}
 	free := 0.0
 	busy := 0.0
@@ -231,7 +242,10 @@ func ServeMultiGPU(reqs []Request, k int, service ServiceFunc) (*Result, error) 
 	if k <= 0 {
 		return nil, fmt.Errorf("trace: need at least one GPU, got %d", k)
 	}
-	reqs, order := arrivalOrder(reqs)
+	reqs, order, err := arrivalOrder(reqs)
+	if err != nil {
+		return nil, err
+	}
 	free := make([]float64, k)
 	res := &Result{Sojourn: make([]float64, len(reqs))}
 	var busy, totalService, makespanEnd float64

@@ -60,6 +60,8 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 		{QPS: 0, MaxBatch: 512},
 		{QPS: 10, MaxBatch: 0},
 		{QPS: 10, MaxBatch: 512, TailProb: 2},
+		{QPS: math.NaN(), MaxBatch: 512},
+		{QPS: 10, MaxBatch: 512, TailProb: math.NaN(), TailSize: 2560},
 		{QPS: 10, MaxBatch: 512, TailProb: 0.1, TailSize: 0},
 		// MaxBatch below the generator's MinBatch floor cannot be honored
 		// (the floor used to silently override the cap).
