@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"time"
 
@@ -64,24 +63,8 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Validate at the flag boundary with clear messages; ParseArrival also
-	// guards the rate, but a bad -requests or -workers would otherwise only
-	// surface from deep inside the run loop.
-	if !(*rate > 0) || math.IsInf(*rate, 0) {
-		return fmt.Errorf("-rate must be positive and finite, got %g", *rate)
-	}
-	if *requests <= 0 {
-		return fmt.Errorf("-requests must be positive, got %d", *requests)
-	}
-	if *workers <= 0 {
-		return fmt.Errorf("-workers must be positive, got %d", *workers)
-	}
-	if *model < 0 || *tenant < 0 {
-		return fmt.Errorf("-model and -tenant are pool indices and must be >= 0, got %d and %d", *model, *tenant)
-	}
-	if *deadline < 0 {
-		return fmt.Errorf("-deadline-sim must be >= 0, got %g", *deadline)
-	}
+	// ParseArrival judges -rate and RunLoadgen every other value, before
+	// anything is sent.
 	arr, err := datasynth.ParseArrival(*arrival, *rate)
 	if err != nil {
 		return err

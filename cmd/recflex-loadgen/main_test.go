@@ -19,6 +19,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-rate", "0"},
 		{"-rate", "-5"},
 		{"-rate", "+Inf"},
+		{"-rate", "NaN"},
 		{"-requests", "0"},
 		{"-requests", "-3"},
 		{"-workers", "0"},
@@ -26,6 +27,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-model", "-1"},
 		{"-tenant", "-2"},
 		{"-deadline-sim", "-0.5"},
+		{"-deadline-sim", "NaN"},
+		{"-deadline-sim", "+Inf"},
 		{"-arrival", "bursty"},
 		{"-arrival", "diurnal:0"},
 		{"-arrival", "diurnal:10:2"},

@@ -343,6 +343,9 @@ func (o *options) rejectDeadFlags(set map[string]bool) error {
 			}
 		}
 	}
+	if set["model"] && o.models != "" {
+		return fmt.Errorf("-model selects the single-model run; fleet mode serves the -models list (drop -model)")
+	}
 	switch {
 	case (o.listen != "" || o.replaySession != "") && o.models == "":
 		return fmt.Errorf("-listen and -replay-session serve a shared fleet pool; pass -models (e.g. -models A,C) and the recording run's pool flags")
@@ -373,8 +376,6 @@ func (o *options) rejectDeadFlags(set map[string]bool) error {
 		}
 	}
 	switch {
-	case set["weights"] && o.policy != "weighted-fair":
-		return fmt.Errorf("-weights only shapes weighted-fair dispatch (got -policy %s); pass -policy weighted-fair", o.policy)
 	case (set["autoscale-every"] || set["autoscale-lag"] || set["autoscale-class"]) && o.autoMax == 0:
 		return fmt.Errorf("-autoscale-every/-autoscale-lag/-autoscale-class shape an autoscaler that -autoscale-max never creates; set -autoscale-max > 0")
 	case set["autoscale-class"] && !set["worker-classes"]:
@@ -408,6 +409,9 @@ func (o *options) buildPool(set map[string]bool) error {
 	admission, err := fleet.ParsePolicy(o.policy, tenants, o.shedFraction, weights)
 	if err != nil {
 		return err
+	}
+	if _, wfq := admission.(*fleet.WeightedFair); set["weights"] && !wfq {
+		return fmt.Errorf("-weights only shapes weighted-fair dispatch (got -policy %s); pass -policy weighted-fair", o.policy)
 	}
 	c := fleet.Config{
 		Queue:          o.queuePolicy,

@@ -228,6 +228,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-models", "A", "-tenants", "hi:1,lo:0", "-policy", "weighted-fair", "-weights", "1:0,0:0"},
 		{"-models", "Z,A"},
 		{"-models", "A,Z"},
+		{"-models", "A", "-model", "C"},
+		{"-models", "A", "-policy", "fifo", "-weights", "1:2"},
 	}
 	for _, args := range cases {
 		if _, err := parseFlags(args, io.Discard); err == nil {
@@ -299,6 +301,11 @@ func TestParseFlagsValidatesEngineConfigs(t *testing.T) {
 		{[]string{"-models", "A,C"}, trace.QueuePolicy{Workers: 1, Policy: trace.DegradeServe}},
 		{[]string{"-models", "A", "-degrade", "split-tail"},
 			trace.QueuePolicy{Workers: 1, Policy: trace.DegradeSplitTail, SplitCap: splitCap}},
+		// wfq and drr name the weighted-fair policy, so they take weights.
+		{[]string{"-models", "A", "-tenants", "hi:1,lo:0", "-policy", "wfq", "-weights", "1:2"},
+			trace.QueuePolicy{Workers: 1, Policy: trace.DegradeServe}},
+		{[]string{"-models", "A", "-policy", "drr", "-weights", "0:3"},
+			trace.QueuePolicy{Workers: 1, Policy: trace.DegradeServe}},
 	}
 	for _, c := range accepted {
 		o, err := parseFlags(c.args, io.Discard)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/datasynth"
 	"repro/internal/embedding"
 	"repro/internal/experiments"
+	"repro/internal/fleet"
 	"repro/internal/gpusim"
 	"repro/internal/trace"
 	"repro/internal/tuner"
@@ -149,7 +150,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	grep, err := guard.Run(reqs)
+	grep, err := fleet.ServeSingle(gcfg.Server, fleet.Model{Name: "guard", Supervisor: guard}, reqs)
 	if err != nil {
 		log.Fatal(err)
 	}

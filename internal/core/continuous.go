@@ -5,9 +5,14 @@ import (
 	"math"
 
 	"repro/internal/embedding"
+	"repro/internal/fleet"
 	"repro/internal/trace"
 	"repro/internal/tuner"
 )
+
+// servedName labels the single served model of ServeContinuous and
+// ServeFrozen in their fleet pool.
+const servedName = "recflex"
 
 // TimedBatchSource supplies the input batch for a request of the given size
 // arriving at virtual time t. Drifting workloads back it with
@@ -120,7 +125,7 @@ func (o *ContinuousOptions) windowBatches(src TimedBatchSource, win []trace.Wind
 	return out, nil
 }
 
-// ServeFrozen replays the same continuous loop with drift control disabled:
+// ServeFrozen replays the same serving loop with drift control disabled:
 // every request is served by this instance's current schedule set, whatever
 // the workload does. It is the stale-schedule baseline a ServeContinuous run
 // is compared against — same engine, same trace, same virtual clock, only
@@ -129,15 +134,11 @@ func (r *RecFlex) ServeFrozen(reqs []trace.Request, src TimedBatchSource, opts C
 	if r.Tuned() == nil {
 		return nil, errNotTuned
 	}
-	never := func([]trace.WindowEntry) (bool, error) { return false, nil }
-	frozen := func(int, []trace.WindowEntry) (trace.TimedServiceFunc, error) {
-		return nil, fmt.Errorf("core: frozen serving loop must not re-tune")
-	}
-	sv, err := trace.NewSupervisor(opts.Supervisor, r.TimedService(src, opts.Quantum, opts.PhaseOf), never, frozen)
-	if err != nil {
+	if err := opts.Supervisor.Validate(); err != nil {
 		return nil, err
 	}
-	return sv.Run(reqs)
+	m := fleet.Model{Name: servedName, Service: r.TimedService(src, opts.Quantum, opts.PhaseOf)}
+	return fleet.ServeSingle(opts.Supervisor.Server, m, reqs)
 }
 
 // PostSwapSplit compares a supervised run against its frozen baseline on the
@@ -164,11 +165,11 @@ func PostSwapSplit(fresh, stale *trace.Report) (freshMean, staleMean float64, n 
 }
 
 // ServeContinuous runs the full continuous serving loop on this instance:
-// the request stream is replayed through a trace.Supervisor whose drift
-// detector is ShouldRetune over the sliding window's batches and whose
-// retuner runs the two-stage schedule search on the recent window, compiling
-// a fresh schedule set that the supervisor hot-swaps into the loop while
-// serving continues on the remaining workers. Each generation is an
+// fleet.ServeSingle replays the request stream under a trace.Supervisor
+// whose drift detector is ShouldRetune over the sliding window's batches and
+// whose retuner runs the two-stage schedule search on the recent window,
+// compiling a fresh schedule set that the supervisor hot-swaps into the loop
+// while serving continues on the remaining workers. Each generation is an
 // independent immutable instance, so in-flight requests finish on the
 // schedules they were admitted under; when the run ends the receiver adopts
 // the final generation's tuning (the production hot-swap's last commit).
@@ -187,7 +188,7 @@ func (r *RecFlex) ServeContinuous(reqs []trace.Request, src TimedBatchSource, op
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sv.Run(reqs)
+	rep, err := fleet.ServeSingle(opts.Supervisor.Server, fleet.Model{Name: servedName, Supervisor: sv}, reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +201,7 @@ func (r *RecFlex) ServeContinuous(reqs []trace.Request, src TimedBatchSource, op
 // background re-tunes via the two-stage schedule search, canary rollbacks
 // reinstating the right instance — together with the commit closure that
 // adopts the final live generation's tuning into the receiver. The caller
-// runs the supervisor (directly via Run, or on a shared fleet pool) and
+// serves the supervised model on a fleet pool (its own or a shared one) and
 // calls commit after a successful run. Both ServeContinuous and ServeFleet
 // are thin wrappers around this.
 func (r *RecFlex) continuousSupervisor(src TimedBatchSource, opts ContinuousOptions) (*trace.Supervisor, func(), error) {

@@ -170,8 +170,8 @@ func (f *FlashCrowd) String() string {
 //
 // Rate must be positive.
 func ParseArrival(kind string, rate float64) (ArrivalProcess, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("datasynth: arrival rate must be positive, got %g", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("datasynth: arrival rate must be positive and finite, got %g", rate)
 	}
 	parts := strings.Split(strings.ToLower(kind), ":")
 	num := func(s string) (float64, bool) {

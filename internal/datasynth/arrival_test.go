@@ -28,7 +28,7 @@ func TestParseArrival(t *testing.T) {
 		t.Errorf("fixed gap = %g, want 0.01", gap)
 	}
 
-	for _, rate := range []float64{0, -5} {
+	for _, rate := range []float64{0, -5, math.NaN(), math.Inf(1)} {
 		if _, err := ParseArrival("poisson", rate); err == nil {
 			t.Errorf("ParseArrival(rate=%g) succeeded, want error", rate)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasynth"
 	"repro/internal/embedding"
+	"repro/internal/fleet"
 	"repro/internal/gpusim"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -16,7 +17,7 @@ import (
 
 // DriftResult is the §IV-A3 re-tuning lifecycle study, run end-to-end through
 // the continuous serving loop: a drifting request trace (pooling factors
-// scale by DriftFactor mid-stream) is replayed through trace.Supervisor,
+// scale by DriftFactor mid-stream) is replayed under a trace.Supervisor,
 // which detects the shift online, re-tunes in the background on a worker
 // slot, and hot-swaps the fresh schedule set. The same trace replayed with
 // the detector pinned off gives the stale-schedule baseline, so the
@@ -75,6 +76,10 @@ type DriftResult struct {
 	// FastScheduleMatch reports whether both fleet re-tunes selected exactly
 	// the serial re-tune's schedules and occupancy.
 	FastScheduleMatch bool
+
+	// continuous, frozen and guard are the lifecycle's three replays (guard
+	// is nil when no drift was detected), kept for the replay pins.
+	continuous, frozen, guard *trace.Report
 }
 
 // DriftStudy runs the lifecycle on model C (all multi-hot: every feature
@@ -147,6 +152,8 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 		Detected:    len(rep.Metrics.Swaps) > 0,
 		Generation:  rep.Metrics.Generation,
 		TuneBusy:    rep.Metrics.TuneBusy,
+		continuous:  rep,
+		frozen:      staleRep,
 	}
 	if !res.Detected {
 		return res, nil
@@ -209,8 +216,8 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 	// poisoned — 3x slower than the live schedules, the worst case of a tune
 	// overfitting a noisy drift window. The canary guard must measure the
 	// promotion worse than the pre-swap baseline and roll it back. This act
-	// drives the trace-level supervisor directly: the poison is injected at
-	// the service layer, below core's real tuner.
+	// serves a hand-built supervisor: the poison is injected at the service
+	// layer, below core's real tuner.
 	base := rf.TimedService(src, opts.Quantum, opts.PhaseOf)
 	driftAt := reqs[n/3].Arrival
 	detect := func(win []trace.WindowEntry) (bool, error) {
@@ -230,10 +237,11 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prep, err := guard.Run(reqs)
+	prep, err := fleet.ServeSingle(pcfg.Server, fleet.Model{Name: "guard", Supervisor: guard}, reqs)
 	if err != nil {
 		return nil, err
 	}
+	res.guard = prep
 	pm := prep.Metrics
 	res.PoisonRollbacks = pm.Rollbacks
 	for _, s := range pm.Swaps {

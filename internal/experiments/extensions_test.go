@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"hash/fnv"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestExtensions(t *testing.T) {
@@ -76,6 +81,48 @@ func TestEq2FidelityOnTunedKernels(t *testing.T) {
 	}
 }
 
+// driftDigest hashes one supervised report as exact hex floats: every
+// request's outcome, generation and sojourn; the aggregates and counters;
+// every swap event field except the host-time TuneWall; and the per-worker
+// stats. The queue-depth series is left out.
+func driftDigest(rep *trace.Report) string {
+	h := fnv.New64a()
+	hex := func(v float64) { io.WriteString(h, strconv.FormatFloat(v, 'x', -1, 64)+" ") }
+	num := func(v int) { io.WriteString(h, strconv.Itoa(v)+" ") }
+	for i := range rep.Sojourn {
+		num(int(rep.Outcomes[i]))
+		num(rep.Generations[i])
+		hex(rep.Sojourn[i])
+	}
+	for _, v := range []float64{rep.P50, rep.P95, rep.P99, rep.MeanService, rep.Utilization} {
+		hex(v)
+	}
+	m := rep.Metrics
+	for _, v := range []int{m.Served, m.SplitServed, m.Timeouts, m.DeadlineSheds, m.QueueSheds,
+		m.MaxQueueDepth, m.Generation, m.Rollbacks} {
+		num(v)
+	}
+	hex(m.Makespan)
+	hex(m.TuneBusy)
+	for _, s := range m.Swaps {
+		num(s.Generation)
+		num(s.Worker)
+		num(s.Reinstated)
+		io.WriteString(h, strconv.FormatBool(s.Rollback)+" ")
+		for _, v := range []float64{s.Detected, s.Start, s.Swapped, s.TuneDuration,
+			s.PreMean, s.PostMean, s.CanaryMean, s.BaselineMean} {
+			hex(v)
+		}
+	}
+	for _, w := range m.Workers {
+		num(w.Served)
+		hex(w.Busy)
+		hex(w.TuneBusy)
+		hex(w.Utilization)
+	}
+	return strconv.FormatUint(h.Sum64(), 16)
+}
+
 // The §IV-A3 lifecycle: drift is detected and re-tuning recovers latency.
 func TestDriftStudy(t *testing.T) {
 	s := testSuite()
@@ -88,6 +135,24 @@ func TestDriftStudy(t *testing.T) {
 	}
 	if res.Improvement < 1.0 {
 		t.Errorf("re-tuning made things worse: %.3f", res.Improvement)
+	}
+	// The three replays, pinned bit for bit (digests captured from the
+	// single-model replay engine's supervised loop).
+	for _, c := range []struct {
+		name string
+		rep  *trace.Report
+		want string
+	}{
+		{"continuous", res.continuous, "cc793d8be2365877"},
+		{"frozen", res.frozen, "ca09ab7d1d393f58"},
+		{"guard", res.guard, "d94c4a57e4ceb099"},
+	} {
+		if c.rep == nil {
+			t.Fatalf("%s replay missing", c.name)
+		}
+		if got := driftDigest(c.rep); got != c.want {
+			t.Errorf("%s replay digest %s, want %s", c.name, got, c.want)
+		}
 	}
 	// The fleet-speed act: at this scale (~40 features) the warm-started,
 	// memo-shared fleet re-tune must cut the measured drift-detect→hot-swap

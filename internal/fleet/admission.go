@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/trace"
 )
 
 // Outcome records how the pool resolved one request.
@@ -215,6 +217,44 @@ func (FIFO) Admit(_ QueuedRequest, load PoolLoad) (bool, Outcome) {
 // Next implements AdmissionPolicy: eligible is ordered by admission ID, so
 // the head is the FIFO choice.
 func (FIFO) Next([]QueuedRequest, float64) int { return 0 }
+
+// singleModelFIFO is the single-model engine's admission rule, which only
+// ServeSingle installs: FIFO dispatch, and a full queue sheds the arrival —
+// except under DegradeSplitTail, where only an arriving long-tail request is
+// shed. A normal arrival is admitted anyway, and Live.Admit evicts the
+// victim to make room for it; with none queued the bound is soft, so a burst
+// of batch traffic never drops an interactive request.
+type singleModelFIFO struct{ q trace.QueuePolicy }
+
+// Name implements AdmissionPolicy.
+func (singleModelFIFO) Name() string { return "fifo" }
+
+// Admit implements AdmissionPolicy.
+func (s singleModelFIFO) Admit(r QueuedRequest, load PoolLoad) (bool, Outcome) {
+	if load.QueueDepth > 0 && load.Queued >= load.QueueDepth &&
+		(s.q.Policy != trace.DegradeSplitTail || s.q.IsTail(r.Size)) {
+		return false, OutcomeShedQueue
+	}
+	return true, OutcomeServed
+}
+
+// Next implements AdmissionPolicy.
+func (singleModelFIFO) Next([]QueuedRequest, float64) int { return 0 }
+
+// victim returns the index of the queued request to shed so that an arrival
+// Admit let into a full queue has room, or -1 for none: the youngest whole
+// tail request. queue holds whole requests in admission order.
+func (s singleModelFIFO) victim(queue []qentry, load PoolLoad) int {
+	if load.QueueDepth == 0 || load.Queued < load.QueueDepth {
+		return -1
+	}
+	for j := len(queue) - 1; j >= 0; j-- {
+		if s.q.IsTail(queue[j].size) {
+			return j
+		}
+	}
+	return -1
+}
 
 // ParsePolicy maps a policy name to its implementation over the given
 // tenants — the flag-parsing entry used by recflex-serve's -policy flag.

@@ -56,8 +56,7 @@ type Model struct {
 	Service trace.TimedServiceFunc
 	// Supervisor owns the model's continuous-serving control. The pool
 	// holds its run lock for the duration of Serve, so generations stay
-	// monotone on the supervisor's LiveSet exactly as under
-	// trace.Supervisor.Run.
+	// monotone on the supervisor's LiveSet.
 	Supervisor *trace.Supervisor
 	// ClassScale is the model's per-worker-class service-time multiplier: a
 	// dispatch on a worker of class c runs the resolved service time times
@@ -99,9 +98,9 @@ type Config struct {
 	// tail request that would miss its deadline as one kernel is split into
 	// capped chunks that dispatch ahead of the policy's picks (a split
 	// request was already chosen once; finishing it promptly is the point).
-	// Unlike the single-model engine, a full queue stays entirely the
-	// admission policy's decision — there is no tail eviction or soft bound;
-	// chunks do count toward the policy's queue-occupancy view.
+	// A full queue is the admission policy's decision; only the
+	// single-model rule ServeSingle installs evicts a queued tail for a
+	// normal arrival. Chunks count toward the policy's queue-occupancy view.
 	Queue trace.QueuePolicy
 	// Placement assigns models to workers (see Strategy).
 	Placement Strategy

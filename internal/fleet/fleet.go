@@ -19,10 +19,12 @@
 //
 // Supervised models keep their full continuous-serving semantics — drift
 // detection, background re-tunes booked on their placed workers, hot-swaps,
-// canary rollbacks — through trace.LoopControl, the per-admission control
-// extracted from trace.Supervisor.Run. Like the single-model engine, the
-// replay is exact and deterministic: the same stream, models, tenants and
-// configuration always produce the same Report.
+// canary rollbacks — through trace.LoopControl, the per-admission drift
+// control. ServeSingle is the supervised single-model serving loop: a
+// one-model, one-tenant pool under the single-model engine's admission rule.
+// Like the single-model engine, the replay is exact and deterministic: the
+// same stream, models, tenants and configuration always produce the same
+// Report.
 package fleet
 
 import (
@@ -51,6 +53,9 @@ type Pool struct {
 	// reserves holds each model's Config.Reserve floor (0 for every model
 	// without one) for rebalance validation and tune placement.
 	reserves []int
+	// single is the single-model admission rule when it is the policy, nil
+	// otherwise: Live.Admit asks it for a queued request to evict.
+	single *singleModelFIFO
 }
 
 // NewPool validates the configuration and builds the pool.
@@ -92,6 +97,10 @@ func NewPool(cfg Config, models []Model, tenants []TenantSpec) (*Pool, error) {
 	if policy == nil {
 		policy = NewPriorityEDF(tenants, cfg.ShedFraction)
 	}
+	var single *singleModelFIFO
+	if s, ok := policy.(singleModelFIFO); ok {
+		single = &s
+	}
 	return &Pool{
 		cfg:      cfg,
 		models:   append([]Model(nil), models...),
@@ -100,6 +109,7 @@ func NewPool(cfg Config, models []Model, tenants []TenantSpec) (*Pool, error) {
 		initial:  assign(cfg.Placement, len(models), cfg.Queue.EffectiveWorkers(), reserves),
 		reserved: totalRes,
 		reserves: reserves,
+		single:   single,
 	}, nil
 }
 
@@ -285,7 +295,7 @@ func (st *poolRun) betterWorker(w, best int) bool {
 // Out-of-order input is sorted on entry; all per-request slices stay aligned
 // with the caller's indices. Supervised models' drift control runs inside
 // the replay (their swap histories land in ModelReports), and each
-// supervisor's metrics snapshot is installed as if Run had been called.
+// supervisor's metrics snapshot is installed.
 //
 // Serve is a thin batch driver over the incremental Live engine: Begin,
 // Admit every request in arrival order, Close. A live gateway session runs
@@ -317,6 +327,34 @@ func (p *Pool) Serve(reqs []Request) (*Report, error) {
 	return rep, nil
 }
 
+// ServeSingle serves one model's request stream on a one-model, one-tenant
+// pool shaped by q and returns the model's report. The pool runs the
+// single-model engine's rules: FIFO dispatch to the earliest-starting worker
+// (lowest index on ties), per-request deadlines, split-at-cap degradation
+// and, under DegradeSplitTail, a queue bound that sheds arriving tails and
+// evicts a queued tail for a normal arrival. A supervised model keeps its
+// drift detection, background re-tunes, hot-swaps and canary rollbacks, and
+// its supervisor's metrics snapshot is installed. The report matches
+// trace.Server's over the same static service bit for bit, except for the
+// queue-depth series, which the pool does not record. Out-of-order input is
+// sorted on entry; per-request slices stay aligned with the caller's
+// indices.
+func ServeSingle(q trace.QueuePolicy, m Model, reqs []trace.Request) (*trace.Report, error) {
+	p, err := NewPool(Config{Queue: q, Admission: singleModelFIFO{q}}, []Model{m}, []TenantSpec{{Name: m.Name}})
+	if err != nil {
+		return nil, err
+	}
+	stream := make([]Request, len(reqs))
+	for i, r := range reqs {
+		stream[i] = Request{Arrival: r.Arrival, Size: r.Size, Deadline: r.Deadline}
+	}
+	rep, err := p.Serve(stream)
+	if err != nil {
+		return nil, err
+	}
+	return rep.ModelReports[0], nil
+}
+
 // placedOn reports whether model m may run on worker w under asg.
 func placedOn(asg Assignment, m, w int) bool {
 	for _, x := range asg[m] {
@@ -327,86 +365,63 @@ func placedOn(asg Assignment, m, w int) bool {
 	return false
 }
 
+// traceOutcome maps each final pool outcome onto the single-model engine's;
+// shed causes carry through one for one.
+var traceOutcome = [...]trace.Outcome{
+	OutcomeServed:       trace.OutcomeServed,
+	OutcomeShedQueue:    trace.OutcomeShedQueue,
+	OutcomeShedQuota:    trace.OutcomeShedQuota,
+	OutcomeShedLoad:     trace.OutcomeShedLoad,
+	OutcomeShedDeadline: trace.OutcomeShedDeadline,
+	OutcomeSplit:        trace.OutcomeSplit,
+}
+
 // modelReport builds model m's single-model view of a fleet run: its own
-// requests in caller order, with sojourns, outcomes (shed causes carried
-// through one-for-one), generation stamps and a trace.Metrics carrying the
-// model's latency histogram and tune time.
-func (p *Pool) modelReport(m int, reqs []Request, rep *Report, tuneBusy float64) *trace.Report {
-	var sojourns []float64
-	var outcomes []trace.Outcome
-	var gens []int
-	tm := &trace.Metrics{Latency: trace.NewLatencyHistogram(), TuneBusy: tuneBusy}
-	firstArr, lastEnd := math.Inf(1), math.Inf(-1)
-	var served []float64
-	var totalService float64
+// requests in caller order, with sojourns, outcomes and generation stamps,
+// and a trace.Metrics whose counters, histogram and percentiles are the
+// model's GroupMetrics (finalized first) and whose makespan runs from the
+// model's first arrival to its last completion. A one-model pool's view also
+// carries the pool's worker stats, peak queue depth and serving utilization,
+// which makes it the whole single-model engine report.
+func (l *Live) modelReport(m int, reqs []Request, rep *Report) *trace.Report {
+	g := &l.met.Models[m]
+	tm := &trace.Metrics{
+		Served:        g.Served,
+		SplitServed:   g.SplitServed,
+		Timeouts:      g.Timeouts,
+		DeadlineSheds: g.ShedDeadline,
+		QueueSheds:    g.ShedQueue,
+		QuotaSheds:    g.ShedQuota,
+		LoadSheds:     g.ShedLoad,
+		Latency:       g.Latency,
+		TuneBusy:      l.st.tuneByModel[m],
+	}
+	out := &trace.Report{
+		Result:  trace.Result{Served: g.Served, P50: g.P50, P95: g.P95, P99: g.P99},
+		Metrics: tm,
+	}
+	first := math.Inf(1)
 	for i, r := range reqs {
 		if r.Model != m {
 			continue
 		}
-		sojourns = append(sojourns, rep.Sojourn[i])
-		gens = append(gens, rep.Generations[i])
-		if r.Arrival < firstArr {
-			firstArr = r.Arrival
-		}
-		switch rep.Outcomes[i] {
-		case OutcomeServed, OutcomeSplit:
-			end := rep.Dispatch[i] + rep.Service[i]
-			if rep.Outcomes[i] == OutcomeSplit {
-				outcomes = append(outcomes, trace.OutcomeSplit)
-				tm.SplitServed++
-				// A split's chunks interleave with other work, so its end is
-				// not dispatch+service; the sojourn carries it exactly.
-				end = r.Arrival + rep.Sojourn[i]
-			} else {
-				outcomes = append(outcomes, trace.OutcomeServed)
-			}
-			tm.Served++
-			tm.Latency.Observe(rep.Sojourn[i])
-			served = append(served, rep.Sojourn[i])
-			totalService += rep.Service[i]
-			if end > lastEnd {
-				lastEnd = end
-			}
-			if end > p.deadlineOf(r) {
-				tm.Timeouts++
-			}
-		case OutcomeShedDeadline:
-			outcomes = append(outcomes, trace.OutcomeShedDeadline)
-			tm.DeadlineSheds++
-		case OutcomeShedQuota:
-			// Shed causes survive the translation one-for-one: a per-model
-			// trace view must not misreport why requests were dropped.
-			outcomes = append(outcomes, trace.OutcomeShedQuota)
-			tm.QuotaSheds++
-		case OutcomeShedLoad:
-			outcomes = append(outcomes, trace.OutcomeShedLoad)
-			tm.LoadSheds++
-		default:
-			outcomes = append(outcomes, trace.OutcomeShedQueue)
-			tm.QueueSheds++
-		}
+		first = math.Min(first, r.Arrival)
+		out.Sojourn = append(out.Sojourn, rep.Sojourn[i])
+		out.Outcomes = append(out.Outcomes, traceOutcome[rep.Outcomes[i]])
+		out.Generations = append(out.Generations, rep.Generations[i])
 	}
-	var q trace.Quantiler
-	p50, p95, p99 := q.P50P95P99(served)
-	out := &trace.Report{
-		Result: trace.Result{
-			Sojourn: sojourns,
-			Served:  len(served),
-			P50:     p50,
-			P95:     p95,
-			P99:     p99,
-		},
-		Outcomes:    outcomes,
-		Generations: gens,
-		Metrics:     tm,
+	if g.Served > 0 {
+		out.MeanService = l.serviceByModel[m] / float64(g.Served)
 	}
-	if len(served) > 0 {
-		out.MeanService = totalService / float64(len(served))
+	// Like the single-model engine, a model that served nothing spans 0.
+	if tm.Makespan = l.lastEndByModel[m] - first; tm.Makespan < 0 {
+		tm.Makespan = 0
 	}
-	if !math.IsInf(firstArr, 1) && !math.IsInf(lastEnd, -1) {
-		tm.Makespan = lastEnd - firstArr
-		if tm.Makespan < 0 {
-			tm.Makespan = 0
+	if len(l.p.models) == 1 {
+		tm.Workers = append([]trace.WorkerStats(nil), l.met.Workers...)
+		tm.MaxQueueDepth = l.met.MaxQueueDepth
+		if tm.Makespan > 0 {
+			out.Utilization = l.workByModel[m] / (tm.Makespan * float64(len(l.st.free)))
 		}
 	}
 	return out

@@ -82,6 +82,8 @@ type Live struct {
 	queuedByModel  []int
 	splitsByModel  []int // in-flight splits per model (split creation to last chunk)
 	workByModel    []float64
+	serviceByModel []float64 // served requests' service, summed in completion order
+	lastEndByModel []float64 // each model's last completion
 	modelSojourns  [][]float64
 	tenantSojourns [][]float64
 
@@ -136,6 +138,8 @@ func (p *Pool) Begin() *Live {
 		queuedByModel:  make([]int, len(p.models)),
 		splitsByModel:  make([]int, len(p.models)),
 		workByModel:    make([]float64, len(p.models)),
+		serviceByModel: make([]float64, len(p.models)),
+		lastEndByModel: make([]float64, len(p.models)),
 		modelSojourns:  make([][]float64, len(p.models)),
 		tenantSojourns: make([][]float64, len(p.tenants)),
 		drain:          make([]bool, k),
@@ -248,6 +252,8 @@ func (p *Pool) validateRequest(i int, r Request) error {
 		return fmt.Errorf("fleet: request %d has non-positive size %d", i, r.Size)
 	case !(r.Deadline >= 0):
 		return fmt.Errorf("fleet: request %d has negative or NaN deadline %g", i, r.Deadline)
+	case math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0):
+		return fmt.Errorf("fleet: request %d has non-finite arrival %g", i, r.Arrival)
 	}
 	return nil
 }
@@ -268,9 +274,6 @@ func (l *Live) Admit(r Request) (int, []Event, error) {
 	pos := len(l.reqs)
 	if err := l.p.validateRequest(pos, r); err != nil {
 		return 0, nil, err
-	}
-	if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
-		return 0, nil, fmt.Errorf("fleet: request %d has non-finite arrival %g", pos, r.Arrival)
 	}
 	if l.started && r.Arrival < l.reqs[pos-1].Arrival {
 		return 0, nil, fmt.Errorf("fleet: request %d arrives at t=%g before request %d at t=%g (live admissions must be in arrival order)",
@@ -345,6 +348,15 @@ func (l *Live) Admit(r Request) (int, []Event, error) {
 		l.shed(pos, out, r.Model, r.Tenant, now)
 		return pos, l.events, nil
 	}
+	if l.p.single != nil {
+		if j := l.p.single.victim(l.queue, load); j >= 0 {
+			v := l.queue[j]
+			l.queue = append(l.queue[:j], l.queue[j+1:]...)
+			l.queuedByTenant[v.tenant]--
+			l.queuedByModel[v.model]--
+			l.shed(v.id, OutcomeShedQueue, v.model, v.tenant, now)
+		}
+	}
 	l.queue = append(l.queue, qentry{
 		id:       pos,
 		arrival:  now,
@@ -416,6 +428,16 @@ func (l *Live) closeWith(reqs []Request, order []int) (*Report, []Event, error) 
 	if err := l.advanceUntil(math.Inf(1)); err != nil {
 		return nil, nil, l.fail(err)
 	}
+	if n := l.Pending(); n > 0 {
+		// The final drain dispatches everything a placed worker can take, so
+		// what is left belongs to a model with no worker.
+		stuck := l.chunks
+		if len(l.queue) > 0 {
+			stuck = l.queue
+		}
+		return nil, nil, l.fail(fmt.Errorf("fleet: %d admitted requests never resolved: model %s has no placed worker",
+			n, l.p.models[stuck[0].model].Name))
+	}
 	l.done = true
 
 	n := len(l.reqs)
@@ -483,7 +505,7 @@ func (l *Live) closeWith(reqs []Request, order []int) (*Report, []Event, error) 
 	// and publish their metrics snapshots.
 	rep.ModelReports = make([]*trace.Report, len(l.p.models))
 	for m := range l.p.models {
-		rep.ModelReports[m] = l.p.modelReport(m, reqs, rep, l.st.tuneByModel[m])
+		rep.ModelReports[m] = l.modelReport(m, reqs, rep)
 		if l.lcs[m] != nil {
 			l.lcs[m].Finalize(rep.ModelReports[m])
 		}
@@ -804,6 +826,10 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 			if sp.end > l.lastEnd {
 				l.lastEnd = sp.end
 			}
+			l.serviceByModel[e.model] += sp.service
+			if sp.end > l.lastEndByModel[e.model] {
+				l.lastEndByModel[e.model] = sp.end
+			}
 			if l.lcs[e.model] != nil {
 				l.lcs[e.model].Observe(sp.size, e.gen, sp.end, soj)
 			}
@@ -885,6 +911,10 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 	l.workByModel[e.model] += sv
 	if end > l.lastEnd {
 		l.lastEnd = end
+	}
+	l.serviceByModel[e.model] += sv
+	if end > l.lastEndByModel[e.model] {
+		l.lastEndByModel[e.model] = end
 	}
 	soj := end - e.arrival
 	l.sojourn[e.id] = soj

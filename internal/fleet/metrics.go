@@ -117,8 +117,7 @@ func (m *Metrics) String() string {
 // Report is the outcome of one fleet trace: per-request results aligned to
 // the caller's request order, the pool-wide Metrics, and one trace.Report
 // per model (its own sojourns and — for supervised models — its swap
-// history, generation count and rollbacks, exactly as a single-model
-// Supervisor.Run would report them).
+// history, generation count and rollbacks).
 type Report struct {
 	// Sojourn[i] is request i's end-to-end latency (for a split request,
 	// last chunk completion minus arrival); NaN for shed requests.

@@ -24,10 +24,10 @@ type LoadgenConfig struct {
 	Arrival datasynth.ArrivalProcess
 	// Sizes draws request batch sizes (values < 1 are clamped to 1). Required.
 	Sizes datasynth.Dist
-	// Model and Tenant index into the gateway's pool.
+	// Model and Tenant index into the gateway's pool. Must be >= 0.
 	Model, Tenant int
 	// DeadlineSim is the per-request relative deadline in simulated seconds
-	// (0 = server default).
+	// (0 = server default). Must be finite and >= 0.
 	DeadlineSim float64
 	// Requests is the total request count. Must be positive.
 	Requests int
@@ -82,6 +82,12 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenResult, error) {
 	}
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("gateway: loadgen worker count must be positive, got %d", cfg.Workers)
+	}
+	if cfg.Model < 0 || cfg.Tenant < 0 {
+		return nil, fmt.Errorf("gateway: loadgen model and tenant are pool indices and must be >= 0, got %d and %d", cfg.Model, cfg.Tenant)
+	}
+	if !(cfg.DeadlineSim >= 0) || math.IsInf(cfg.DeadlineSim, 1) {
+		return nil, fmt.Errorf("gateway: loadgen deadline must be finite and >= 0, got %g", cfg.DeadlineSim)
 	}
 	clock := cfg.Clock
 	if clock == nil {

@@ -74,9 +74,10 @@ type Report struct {
 	// Outcomes[i] resolves the caller's request i.
 	Outcomes []Outcome
 	// Generations[i] is the schedule-set generation the caller's request i
-	// was admitted on. All zeros for a plain Server run; a Supervisor run
-	// stamps each admission with the generation live at its arrival, so the
-	// pre/post-swap latency split can be computed per request.
+	// was admitted on. All zeros for a plain Server run; a supervised run
+	// (fleet.ServeSingle) stamps each admission with the generation live at
+	// its arrival, so the pre/post-swap latency split can be computed per
+	// request.
 	Generations []int
 	// Metrics is the observability snapshot of this run.
 	Metrics *Metrics
@@ -278,7 +279,6 @@ type qentry struct {
 	arrival  float64 // request arrival time
 	deadline float64 // absolute completion deadline (+Inf if none)
 	size     int
-	gen      int  // schedule-set generation stamped at admission
 	chunk    bool // split chunk of a tail request
 }
 
@@ -289,41 +289,14 @@ type splitState struct {
 	service   float64
 }
 
-// resolveFunc returns the service time of one queue entry. The plain Server
-// reads a pre-resolved per-size table; the Supervisor resolves against the
-// generation and arrival time stamped on the entry, so in-flight requests
-// keep the schedule set they were admitted on across a hot-swap.
-type resolveFunc func(e *qentry) (float64, error)
-
-// admitHook observes every arrival at its admission time, in arrival order,
-// before queue placement or shedding. It returns the schedule-set generation
-// to stamp on the entry. The hook may book background work on a worker slot
-// through replayState.Occupy — this is how the Supervisor charges a
-// background re-tune against serving capacity.
-type admitHook func(st *replayState, r Request, now float64) (gen int, err error)
-
-// finishHook observes every served completion as the replay resolves it:
-// the request's size, the generation it was admitted on, its completion time
-// and its sojourn. The Supervisor feeds its canary evaluation through this —
-// a guarded promotion needs served latencies, not just admissions.
-type finishHook func(size, gen int, end, sojourn float64)
-
-// replayState is the mutable state of one virtual-clock replay, exposed to
-// the admission hook so supervised runs can interact with worker capacity.
-type replayState struct {
-	cfg     ServerConfig
-	free    []float64 // free[g] is when worker g next becomes idle
-	workers []WorkerStats
-	met     *Metrics
-}
-
 // replayScratch is the reusable per-replay working set: everything a replay
 // allocates that does not escape into its Report. Pooled across replays so a
-// reused server (or supervisor, or back-to-back benchmark iterations) runs
-// its event loop out of warm memory instead of re-growing the queue, split
-// table and percentile scratch every time.
+// reused server (or back-to-back benchmark iterations) runs its event loop
+// out of warm memory instead of re-growing the queue, split table and
+// percentile scratch every time.
 type replayScratch struct {
-	state     replayState
+	free      []float64 // free[g] is when worker g next becomes idle
+	workers   []WorkerStats
 	queue     []qentry
 	servedSoj []float64
 	depths    depthSeries
@@ -345,15 +318,15 @@ var replayPool = sync.Pool{
 
 // grab prepares the scratch for one replay over n requests and k workers.
 func (sc *replayScratch) grab(k int) {
-	if cap(sc.state.free) < k {
-		sc.state.free = make([]float64, k)
-		sc.state.workers = make([]WorkerStats, k)
+	if cap(sc.free) < k {
+		sc.free = make([]float64, k)
+		sc.workers = make([]WorkerStats, k)
 	}
-	sc.state.free = sc.state.free[:k]
-	sc.state.workers = sc.state.workers[:k]
+	sc.free = sc.free[:k]
+	sc.workers = sc.workers[:k]
 	for g := 0; g < k; g++ {
-		sc.state.free[g] = 0
-		sc.state.workers[g] = WorkerStats{}
+		sc.free[g] = 0
+		sc.workers[g] = WorkerStats{}
 	}
 	sc.queue = sc.queue[:0]
 	sc.servedSoj = sc.servedSoj[:0]
@@ -363,38 +336,13 @@ func (sc *replayScratch) grab(k int) {
 	clear(sc.splits)
 }
 
-// Occupy books dur seconds of background work on the least-loaded worker at
-// virtual time now, returning the chosen slot and the booked start/end. The
-// booked interval delays every later dispatch routed to that worker, so the
-// capacity a background tune consumes is explicitly accounted rather than
-// assumed free; the duration accrues to Metrics.TuneBusy and to the chosen
-// worker's WorkerStats.TuneBusy, so the tuning worker reports occupied
-// rather than idle.
-func (st *replayState) Occupy(now, dur float64) (worker int, start, end float64) {
-	best := 0
-	for g := 1; g < len(st.free); g++ {
-		if st.free[g] < st.free[best] {
-			best = g
-		}
-	}
-	start = st.free[best]
-	if now > start {
-		start = now
-	}
-	end = start + dur
-	st.free[best] = end
-	st.met.TuneBusy += dur
-	st.workers[best].TuneBusy += dur
-	return best, start, end
-}
-
-// runReplay is the deterministic virtual-clock event loop shared by
-// Server.Serve and Supervisor.Run: FIFO admission with the configured queue
-// bound and degradation policy, least-loaded dispatch over cfg.EffectiveWorkers()
-// simulated GPUs, per-request deadlines and split-at-cap fallback. sorted
-// must be in arrival order; order maps sorted positions back to the caller's
-// indices (nil = identity).
-func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveFunc, admit admitHook, onFinish finishHook) (*Report, error) {
+// runReplay is Server.Serve's deterministic virtual-clock event loop: FIFO
+// admission with the configured queue bound and degradation policy,
+// least-loaded dispatch over cfg.EffectiveWorkers() simulated GPUs,
+// per-request deadlines and split-at-cap fallback. sorted must be in arrival
+// order; order maps sorted positions back to the caller's indices (nil =
+// identity). resolve returns a queue entry's service time.
+func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve func(e *qentry) float64) *Report {
 	k := cfg.EffectiveWorkers()
 	n := len(sorted)
 	met := &Metrics{Latency: NewLatencyHistogram()}
@@ -404,18 +352,13 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 	chunks := sc.chunkBuf
 	defer func() {
 		// Hand the (possibly grown) buffers back to the scratch so the pool
-		// keeps their capacity, and drop the Metrics reference so pooling the
-		// scratch does not pin the returned snapshot.
+		// keeps their capacity.
 		sc.queue = queue
 		sc.chunkBuf = chunks
-		sc.state.met = nil
 		replayPool.Put(sc)
 	}()
-	state := &sc.state
-	state.cfg = cfg
-	state.met = met
-	free := state.free
-	workerStats := state.workers
+	free := sc.free
+	workerStats := sc.workers
 	rep := &Report{
 		Result:      Result{Sojourn: make([]float64, n)},
 		Outcomes:    make([]Outcome, n),
@@ -482,9 +425,6 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 			lastEnd = end
 		}
 		served++
-		if onFinish != nil {
-			onFinish(sorted[pos].Size, rep.Generations[idx], end, soj)
-		}
 	}
 	shed := func(pos int, out Outcome) {
 		idx := originalIndex(order, pos)
@@ -528,21 +468,23 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 			// math.Max pays for cannot matter here.
 			tDisp = free[best]
 			if headArr > tDisp {
+				// Every worker idle by the head's arrival starts it then:
+				// the lowest-index one wins, the fleet pool's packed rule
+				// (earliest start, then lowest index). Workers below best
+				// are busier, so only they can undercut it.
 				tDisp = headArr
+				for g := 0; g < best; g++ {
+					if free[g] <= headArr {
+						best = g
+						break
+					}
+				}
 			}
 		}
 
 		if tDisp > tArr { // admit the next arrival
 			r := sorted[next]
 			e := qentry{pos: next, arrival: r.Arrival, deadline: deadlineOf(r), size: r.Size}
-			if admit != nil {
-				gen, err := admit(state, r, r.Arrival)
-				if err != nil {
-					return nil, err
-				}
-				e.gen = gen
-			}
-			rep.Generations[originalIndex(order, next)] = e.gen
 			next++
 			if cfg.QueueDepth > 0 && qlen() >= cfg.QueueDepth {
 				if splitTail {
@@ -597,13 +539,7 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 		st := tDisp
 		observeDepth(st)
 
-		sv, err := resolve(&e)
-		if err != nil {
-			return nil, err
-		}
-		if sv < 0 {
-			return nil, fmt.Errorf("trace: negative service time %g for size %d", sv, e.size)
-		}
+		sv := resolve(&e)
 
 		if e.chunk {
 			free[best] = st + sv
@@ -635,17 +571,15 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 			// Split-at-cap fallback: re-admit the request as capped chunks
 			// that dispatch ahead of the queue; each chunk routes
 			// independently, so chunks of one tail request can run on several
-			// GPUs at once. Chunks inherit the parent's generation: a split
-			// request is still one admission and finishes on the schedule set
-			// it arrived under. The split state lives in the pooled slab; the
-			// map only ever holds pointers into it.
+			// GPUs at once. The split state lives in the pooled slab; the map
+			// only ever holds pointers into it.
 			cnt := 0
 			for sz := e.size; sz > 0; {
 				c := sz
 				if c > splitCap {
 					c = splitCap
 				}
-				chunks = append(chunks, qentry{pos: e.pos, arrival: e.arrival, deadline: e.deadline, size: c, gen: e.gen, chunk: true})
+				chunks = append(chunks, qentry{pos: e.pos, arrival: e.arrival, deadline: e.deadline, size: c, chunk: true})
 				sz -= c
 				cnt++
 			}
@@ -684,11 +618,7 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 	if met.Makespan > 0 {
 		rep.Utilization = busy / (met.Makespan * float64(k))
 		for g := range workerStats {
-			// A worker occupied by a background tune was not idle: its
-			// utilization covers serving plus tuning, while the run-level
-			// Utilization above stays serving-only (the tune's cost is
-			// reported separately in Metrics.TuneBusy).
-			workerStats[g].Utilization = (workerStats[g].Busy + workerStats[g].TuneBusy) / met.Makespan
+			workerStats[g].Utilization = workerStats[g].Busy / met.Makespan
 		}
 	}
 	// Copy the per-worker and queue-depth views out of the pooled scratch —
@@ -696,7 +626,7 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 	// the next replay will overwrite.
 	met.Workers = append([]WorkerStats(nil), workerStats...)
 	met.QueueDepth = append([]QueueSample(nil), sc.depths.samples...)
-	return rep, nil
+	return rep
 }
 
 // Serve runs the request stream through the engine and returns the exact
@@ -734,18 +664,15 @@ func (s *Server) Serve(reqs []Request) (*Report, error) {
 			svc[i] = times[r.Size]
 		}
 	}
-	rep, err := runReplay(s.cfg, sorted, order, func(e *qentry) (float64, error) {
+	rep := runReplay(s.cfg, sorted, order, func(e *qentry) float64 {
 		if e.chunk {
 			if bySize != nil {
-				return bySize[e.size], nil
+				return bySize[e.size]
 			}
-			return times[e.size], nil
+			return times[e.size]
 		}
-		return svc[e.pos], nil
-	}, nil, nil)
-	if err != nil {
-		return nil, err
-	}
+		return svc[e.pos]
+	})
 	s.mu.Lock()
 	s.last = rep.Metrics
 	s.mu.Unlock()

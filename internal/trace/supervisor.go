@@ -219,9 +219,10 @@ func (c *SupervisorConfig) tuneDuration() float64 {
 	return c.TuneDuration
 }
 
-// Supervisor is the continuous serving loop: the concurrent engine's replay
-// plus online drift control. It watches a sliding window of admitted
-// requests, runs the drift detector every CheckEvery admissions, launches a
+// Supervisor is one model's continuous serving control: online drift
+// detection and hot-swap, driven per admission through LoopControl by the
+// fleet engine (fleet.ServeSingle serves one supervised model; a fleet.Pool
+// serves several). It watches a sliding window of admitted requests, runs the drift detector every CheckEvery admissions, launches a
 // background re-tune on a simulated-GPU worker slot when drift is detected
 // (serving keeps running on the remaining capacity), and hot-swaps the new
 // schedule set in when the tune completes: admissions from the swap time on
@@ -239,15 +240,14 @@ func (c *SupervisorConfig) tuneDuration() float64 {
 // LiveSet.Swap to a new, strictly higher generation id that reuses the
 // previous service, so observers never see an id regress.
 //
-// Like Server, the replay is exact and deterministic: the same trace,
-// detector and retuner always produce the same Report — including canary
-// verdicts and rollback timing — which is what makes drifting-workload
-// experiments reproducible and the deterministic-seed regression tests
-// possible.
+// The replay is exact and deterministic: the same trace, detector and
+// retuner always produce the same Report — including canary verdicts and
+// rollback timing — which is what makes drifting-workload experiments
+// reproducible and the deterministic-seed regression tests possible.
 //
-// Concurrent Run calls on one Supervisor are serialized: overlapping replays
-// would interleave their hot-swaps on the shared LiveSet and break the
-// monotone-generation guarantee observers rely on.
+// Concurrent runs on one Supervisor are serialized (BeginRun holds its run
+// lock): overlapping replays would interleave their hot-swaps on the shared
+// LiveSet and break the monotone-generation guarantee observers rely on.
 type Supervisor struct {
 	cfg     SupervisorConfig
 	service TimedServiceFunc
@@ -255,7 +255,7 @@ type Supervisor struct {
 	retune  Retuner
 	live    *LiveSet
 
-	// runMu serializes Run (see the type comment); mu only guards the
+	// runMu serializes runs (see the type comment); mu only guards the
 	// metrics snapshot, matching Server's locking split.
 	runMu      sync.Mutex
 	onRollback func(rollbackGen, reinstated int)
@@ -297,18 +297,18 @@ func (sv *Supervisor) Config() SupervisorConfig { return sv.cfg }
 // read the current generation at any time; see LiveSet for the guarantees.
 func (sv *Supervisor) Live() *LiveSet { return sv.live }
 
-// OnRollback registers fn to be called synchronously from Run whenever a
+// OnRollback registers fn to be called synchronously during a run whenever a
 // canary verdict rolls a promotion back: rollbackGen is the new generation
 // id the rollback installed, reinstated the generation whose service it
 // reuses. Serving callers use it to keep their per-generation state (e.g.
 // which tuned instance is live) in step with the supervisor. Must be set
-// before Run; a nil fn clears it.
+// before the run begins; a nil fn clears it.
 func (sv *Supervisor) OnRollback(fn func(rollbackGen, reinstated int)) {
 	sv.onRollback = fn
 }
 
 // Metrics returns a snapshot of the most recent run's observability data,
-// or nil before the first Run.
+// or nil before the first run.
 func (sv *Supervisor) Metrics() *Metrics {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
@@ -436,40 +436,4 @@ type canaryRun struct {
 	prev     int // generation to reinstate on rollback
 	openedAt float64
 	baseline []completion
-}
-
-// Run replays the request stream through the continuous loop and returns the
-// exact virtual-time Report, with Generations stamping each request's
-// schedule-set generation and Metrics.Swaps recording every hot-swap
-// (rollbacks included). It also installs the run's Metrics as the
-// supervisor's current snapshot. Concurrent calls are serialized; see the
-// type comment.
-//
-// The run's per-admission drift control lives in LoopControl, shared with
-// the fleet pool's multi-model replay; Run is the single-model wiring of
-// that control into the trace replay engine.
-func (sv *Supervisor) Run(reqs []Request) (*Report, error) {
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("trace: empty request stream")
-	}
-	sorted, order, err := arrivalOrder(reqs)
-	if err != nil {
-		return nil, err
-	}
-	lc := sv.BeginRun()
-
-	admit := func(st *replayState, r Request, now float64) (int, error) {
-		return lc.Admit(st, r.Size, now)
-	}
-	resolve := func(e *qentry) (float64, error) {
-		return lc.Resolve(e.gen, e.arrival, e.size)
-	}
-
-	rep, err := runReplay(sv.cfg.Server, sorted, order, resolve, admit, lc.Observe)
-	if err != nil {
-		lc.Abort()
-		return nil, err
-	}
-	lc.Finalize(rep)
-	return rep, nil
 }

@@ -2,14 +2,19 @@ package trace_test
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/trace"
 )
 
@@ -64,6 +69,92 @@ func metricsEqual(a, b *trace.Metrics) bool {
 	return reflect.DeepEqual(ca, cb)
 }
 
+// reportDigest hashes a supervised report as exact hex floats: every
+// request's outcome, generation and sojourn; the aggregates and counters;
+// every swap event field except the host-time TuneWall; the per-worker stats
+// and the latency histogram. The queue-depth series is left out.
+func reportDigest(rep *trace.Report) string {
+	h := fnv.New64a()
+	hex := func(v float64) { io.WriteString(h, strconv.FormatFloat(v, 'x', -1, 64)+" ") }
+	num := func(v int) { io.WriteString(h, strconv.Itoa(v)+" ") }
+	for i := range rep.Sojourn {
+		num(int(rep.Outcomes[i]))
+		num(rep.Generations[i])
+		hex(rep.Sojourn[i])
+	}
+	num(rep.Served)
+	for _, v := range []float64{rep.P50, rep.P95, rep.P99, rep.MeanService, rep.Utilization} {
+		hex(v)
+	}
+	m := rep.Metrics
+	for _, v := range []int{m.Served, m.SplitServed, m.Timeouts, m.DeadlineSheds, m.QueueSheds,
+		m.QuotaSheds, m.LoadSheds, m.MaxQueueDepth, m.Generation, m.Rollbacks} {
+		num(v)
+	}
+	hex(m.Makespan)
+	hex(m.TuneBusy)
+	for _, s := range m.Swaps {
+		num(s.Generation)
+		num(s.Worker)
+		num(s.Reinstated)
+		io.WriteString(h, strconv.FormatBool(s.Rollback)+" ")
+		for _, v := range []float64{s.Detected, s.Start, s.Swapped, s.TuneDuration,
+			s.PreMean, s.PostMean, s.CanaryMean, s.BaselineMean} {
+			hex(v)
+		}
+	}
+	for _, w := range m.Workers {
+		num(w.Served)
+		hex(w.Busy)
+		hex(w.TuneBusy)
+		hex(w.Utilization)
+	}
+	num(int(m.Latency.Total))
+	hex(m.Latency.Sum)
+	for _, c := range m.Latency.Counts {
+		num(int(c))
+	}
+	return strconv.FormatUint(h.Sum64(), 16)
+}
+
+// supervisedGolden holds the digests of every supervised run below, captured
+// from the single-model replay engine's supervised loop once its idle-worker
+// tie-break matched the fleet pool's: the pool must reproduce them bit for
+// bit.
+var supervisedGolden = map[string]string{
+	"no-drift-k1":           "4a063113706e856d",
+	"no-drift-k3":           "10f0d776c84c1d34",
+	"swap-semantics":        "5ed6f5362cc7aa9b",
+	"trailing-swap":         "325d6e38d63f6f1c",
+	"cooldown-max-retunes":  "4098cadffcbf0d0b",
+	"monotone-seed1":        "74a24f0eae69b62e",
+	"monotone-seed2":        "c1719c438ce206e6",
+	"monotone-seed3":        "66216e9379d497c8",
+	"monotone-seed4":        "f0e4fef0050a8f7d",
+	"monotone-seed5":        "b6ba18b2bcad98c4",
+	"monotone-seed6":        "21cd1893900a5c28",
+	"hot-swap-under-load":   "ca766b5fe2bc939d",
+	"canary-rollback":       "57cbd69a044ba1c",
+	"canary-confirms":       "ef5a2985378a074b",
+	"canary-duration":       "bc7f7342f4b1104f",
+	"canary-open-at-end":    "6a5eea8666171995",
+	"retune-after-rollback": "f06018c01335fc5d",
+	"concurrent-runs":       "5e0b0e323781cb37",
+}
+
+func requireDigest(t *testing.T, key string, rep *trace.Report) {
+	t.Helper()
+	if got, want := reportDigest(rep), supervisedGolden[key]; got != want {
+		t.Errorf("%s: report digest %s, want %s", key, got, want)
+	}
+}
+
+// serveSupervised runs the supervised serving loop: sv's model on a
+// one-model fleet pool shaped by sv's queue policy.
+func serveSupervised(sv *trace.Supervisor, reqs []trace.Request) (*trace.Report, error) {
+	return fleet.ServeSingle(sv.Config().Server, fleet.Model{Name: "m", Supervisor: sv}, reqs)
+}
+
 // constTimed is a time- and size-invariant service.
 func constTimed(v float64) trace.TimedServiceFunc {
 	return func(float64, int) (float64, error) { return v, nil }
@@ -103,12 +194,15 @@ func TestSupervisorNoDriftEqualsServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sv.Run(reqs)
+		rep, err := serveSupervised(sv, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireDigest(t, fmt.Sprintf("no-drift-k%d", k), rep)
 		// No deadline -> nothing sheds -> no NaN sojourns, so DeepEqual is
-		// exact over the full report (NaN would defeat ==).
+		// exact over the full report (NaN would defeat ==) but the queue-depth
+		// series, which the fleet pool does not record.
+		want.Metrics.QueueDepth = nil
 		if !reflect.DeepEqual(rep, want) {
 			t.Fatalf("k=%d: supervised no-drift report differs from plain server", k)
 		}
@@ -158,10 +252,11 @@ func TestSupervisorSwapSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, err := serveSupervised(sv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireDigest(t, "swap-semantics", rep)
 
 	if gotTuneGen != 1 {
 		t.Errorf("retuner saw generation %d, want 1", gotTuneGen)
@@ -268,10 +363,11 @@ func TestSupervisorTrailingSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, err := serveSupervised(sv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireDigest(t, "trailing-swap", rep)
 	m := rep.Metrics
 	if len(m.Swaps) != 1 || m.Generation != 1 {
 		t.Fatalf("swaps %d generation %d, want 1/1", len(m.Swaps), m.Generation)
@@ -323,10 +419,11 @@ func TestSupervisorCooldownAndMaxRetunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, err := serveSupervised(sv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireDigest(t, "cooldown-max-retunes", rep)
 	m := rep.Metrics
 	if len(m.Swaps) != 3 || m.Generation != 3 {
 		t.Fatalf("swaps %d generation %d, want exactly MaxRetunes=3", len(m.Swaps), m.Generation)
@@ -381,13 +478,14 @@ func TestSupervisorGenerationsMonotoneZeroLostProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := sv.Run(reqs)
+			rep, err := serveSupervised(sv, reqs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return rep, sv.Metrics()
 		}
 		rep, met := run()
+		requireDigest(t, fmt.Sprintf("monotone-seed%d", seed), rep)
 
 		// trace.Generate emits arrival order, so caller order is arrival order.
 		for i := 1; i < len(rep.Generations); i++ {
@@ -474,8 +572,8 @@ func TestServeRejectsMalformedRequests(t *testing.T) {
 		if _, err := srv.Serve(reqs); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: Server.Serve err = %v, want %q", tc.name, err, want)
 		}
-		if _, err := sv.Run(reqs); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: Supervisor.Run err = %v, want %q", tc.name, err, want)
+		if _, err := serveSupervised(sv, reqs); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ServeSingle err = %v, want %q", tc.name, err, want)
 		}
 	}
 	// A rejected run leaves both engines usable.
@@ -483,8 +581,8 @@ func TestServeRejectsMalformedRequests(t *testing.T) {
 	if _, err := srv.Serve(good); err != nil {
 		t.Errorf("Server.Serve after rejections: %v", err)
 	}
-	if _, err := sv.Run(good); err != nil {
-		t.Errorf("Supervisor.Run after rejections: %v", err)
+	if _, err := serveSupervised(sv, good); err != nil {
+		t.Errorf("ServeSingle after rejections: %v", err)
 	}
 }
 
@@ -524,7 +622,7 @@ func TestSupervisorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.Run(nil); err == nil {
+	if _, err := serveSupervised(sv, nil); err == nil {
 		t.Error("empty stream accepted")
 	}
 	if sv.Metrics() != nil {
@@ -541,7 +639,7 @@ func TestSupervisorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := failDetect.Run(steady); !errors.Is(err, boom) {
+	if _, err := serveSupervised(failDetect, steady); !errors.Is(err, boom) {
 		t.Errorf("detector error not propagated: %v", err)
 	}
 	tuneErr := errors.New("tuner exploded")
@@ -551,7 +649,7 @@ func TestSupervisorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := failRetune.Run(steady); !errors.Is(err, tuneErr) {
+	if _, err := serveSupervised(failRetune, steady); !errors.Is(err, tuneErr) {
 		t.Errorf("retuner error not propagated: %v", err)
 	}
 	nilSvc, err := trace.NewSupervisor(trace.SupervisorConfig{Window: 4}, ok, always,
@@ -559,7 +657,7 @@ func TestSupervisorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nilSvc.Run(steady); err == nil || !strings.Contains(err.Error(), "nil service") {
+	if _, err := serveSupervised(nilSvc, steady); err == nil || !strings.Contains(err.Error(), "nil service") {
 		t.Errorf("nil re-tuned service accepted: %v", err)
 	}
 }
@@ -670,12 +768,13 @@ func TestSupervisorHotSwapUnderLoad(t *testing.T) {
 			}
 		}()
 	}
-	rep, err := sv.Run(reqs)
+	rep, err := serveSupervised(sv, reqs)
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireDigest(t, "hot-swap-under-load", rep)
 	for i := range reqs {
 		if math.IsNaN(rep.Sojourn[i]) || rep.Outcomes[i] != trace.OutcomeServed {
 			t.Fatalf("request %d lost across %d swaps", i, len(rep.Metrics.Swaps))
@@ -795,13 +894,14 @@ func TestSupervisorCanaryRollbackEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sv.Run(reqs)
+		rep, err := serveSupervised(sv, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep, sv
 	}
 	rep, sv := run()
+	requireDigest(t, "canary-rollback", rep)
 	m := rep.Metrics
 
 	if len(m.Swaps) != 2 || m.Generation != 2 || m.Rollbacks != 1 {
@@ -900,10 +1000,11 @@ func TestSupervisorCanaryConfirmsGoodSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, err := serveSupervised(sv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireDigest(t, "canary-confirms", rep)
 	m := rep.Metrics
 	if len(m.Swaps) != 1 || m.Generation != 1 || m.Rollbacks != 0 {
 		t.Fatalf("want one kept promotion, got %d swaps generation %d rollbacks %d",
@@ -937,10 +1038,11 @@ func TestSupervisorCanaryDurationCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, err := serveSupervised(sv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireDigest(t, "canary-duration", rep)
 	m := rep.Metrics
 	if m.Rollbacks != 1 || len(m.Swaps) != 2 {
 		t.Fatalf("time-bound canary missed the poison: %d rollbacks, %d swaps", m.Rollbacks, len(m.Swaps))
@@ -968,10 +1070,11 @@ func TestSupervisorCanaryOpenAtTraceEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, err := serveSupervised(sv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireDigest(t, "canary-open-at-end", rep)
 	m := rep.Metrics
 	if len(m.Swaps) != 1 || m.Rollbacks != 0 {
 		t.Fatalf("open canary must not decide: %d swaps, %d rollbacks", len(m.Swaps), m.Rollbacks)
@@ -1020,10 +1123,11 @@ func TestSupervisorRetuneAfterRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, err := serveSupervised(sv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireDigest(t, "retune-after-rollback", rep)
 	m := rep.Metrics
 	if tunes != 2 {
 		t.Fatalf("ran %d tunes, want the rollback to leave budget for a second", tunes)
@@ -1072,10 +1176,11 @@ func TestSupervisorConcurrentRunsHotSwapUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Run(reqs)
+	want, err := serveSupervised(ref, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireDigest(t, "concurrent-runs", want)
 
 	sv, err := trace.NewSupervisor(cfg, constTimed(1e-5), always, retune)
 	if err != nil {
@@ -1114,7 +1219,7 @@ func TestSupervisorConcurrentRunsHotSwapUnderLoad(t *testing.T) {
 		runs.Add(1)
 		go func(i int) {
 			defer runs.Done()
-			reports[i], errs[i] = sv.Run(reqs)
+			reports[i], errs[i] = serveSupervised(sv, reqs)
 		}(i)
 	}
 	runs.Wait()
