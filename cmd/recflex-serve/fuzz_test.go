@@ -19,27 +19,26 @@ import (
 // exercised too.
 func FuzzParseFlagsPool(f *testing.F) {
 	nan, inf := "NaN", "+Inf"
-	f.Add(uint16(0x3fff), uint8(1), int8(2), int8(8), uint8(0), "0.5", "0", "1,0", "V100,A100",
+	f.Add(uint16(0x1fff), uint8(1), int8(2), int8(8), uint8(0), "0.5", "1,0", "V100,A100",
 		int8(4), "0.005", "0", "A100", "2", "lru", "0.01")
-	f.Add(uint16(0x385f), uint8(2), int8(3), int8(0), uint8(1), "0", "0.01", "1,0,0", "V100,V100,A100",
+	f.Add(uint16(0x1c2f), uint8(2), int8(3), int8(0), uint8(1), "0", "1,0,0", "V100,V100,A100",
 		int8(6), "0.001", "0.0005", "V100", "1", "static", "0")
-	f.Add(uint16(0x3fff), uint8(0), int8(1), int8(4), uint8(2), nan, nan, "-1", "H100",
+	f.Add(uint16(0x1fff), uint8(0), int8(1), int8(4), uint8(2), nan, "-1", "H100",
 		int8(-1), nan, nan, "H100", nan, "arc", nan)
-	f.Add(uint16(0x3fff), uint8(1), int8(2), int8(-1), uint8(3), inf, inf, "9223372036854775807,1", "",
+	f.Add(uint16(0x1fff), uint8(1), int8(2), int8(-1), uint8(3), inf, "9223372036854775807,1", "",
 		int8(1), inf, inf, "", inf, "", inf)
-	f.Add(uint16(0x3fff), uint8(1), int8(-2), int8(2), uint8(0), "-Inf", "-1", "2,0", "V100,V100",
+	f.Add(uint16(0x1fff), uint8(1), int8(-2), int8(2), uint8(0), "-Inf", "2,0", "V100,V100",
 		int8(2), "-1", "-1", "A100", "-4", "clock", "-1")
-	f.Add(uint16(0x2c01), uint8(1), int8(2), int8(0), uint8(0), "0", "0", "", "",
+	f.Add(uint16(0x1601), uint8(1), int8(2), int8(0), uint8(0), "0", "", "",
 		int8(0), "0", "0", "", "1e300", "lru", "1e-9")
 	f.Fuzz(func(t *testing.T, mask uint16, nModels uint8, gpus, queue int8, placement uint8,
-		shed, rebalance, reserve, classes string, autoMax int8, autoEvery, autoLag, autoClass string,
+		shed, reserve, classes string, autoMax int8, autoEvery, autoLag, autoClass string,
 		cacheBudget, cachePolicy, cacheRetier string) {
 		flags := []struct{ name, value string }{
 			{"gpus", strconv.Itoa(int(gpus))},
 			{"queue", strconv.Itoa(int(queue))},
 			{"placement", []string{"packed", "spread", "dedicated", "ring"}[placement%4]},
 			{"shed-fraction", shed},
-			{"rebalance", rebalance},
 			{"reserve", reserve},
 			{"worker-classes", classes},
 			{"autoscale-max", strconv.Itoa(int(autoMax))},

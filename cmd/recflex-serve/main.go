@@ -18,8 +18,8 @@
 // -placement shaping admission and placement. -policy weighted-fair with
 // -weights gives each priority class a guaranteed dispatch share
 // (deficit-round-robin) instead of strict starvation-prone priority;
-// -rebalance re-partitions workers from recorded load history; -degrade
-// split-tail arms the pool's split-at-cap fallback for long-tail requests.
+// -degrade split-tail arms the pool's split-at-cap fallback for long-tail
+// requests.
 // The report splits latency, shed counts and interference per model and per
 // tenant.
 //
@@ -48,7 +48,7 @@
 //	recflex-serve -models A,C -tenants "interactive:1,bulk:0:8" \
 //	    -policy priority-edf -placement spread -gpus 2 -queue 32
 //	recflex-serve -models A,C -tenants "interactive:1,bulk:0" \
-//	    -policy weighted-fair -weights "1:3,0:1" -rebalance 0.05 -gpus 2 -queue 32
+//	    -policy weighted-fair -weights "1:3,0:1" -gpus 2 -queue 32
 //	recflex-serve -models A,C -tenants "interactive:1,bulk:0" -gpus 2 \
 //	    -worker-classes V100,V100 -autoscale-max 4 -autoscale-class A100 \
 //	    -preempt -degrade split-tail -deadline 1.5
@@ -115,7 +115,6 @@ type options struct {
 	policy, placement string
 	shedFraction      float64
 	weights           string
-	rebalance         float64
 
 	cacheBudget float64
 	cachePolicy string
@@ -231,7 +230,6 @@ func parseFlags(args []string, w io.Writer) (*options, error) {
 	fs.StringVar(&o.placement, "placement", "packed", "fleet placement: packed, spread or dedicated")
 	fs.Float64Var(&o.shedFraction, "shed-fraction", 0, "fleet load shedding: shed sub-top-priority arrivals once the queue is this full (0 disables)")
 	fs.StringVar(&o.weights, "weights", "", "weighted-fair dispatch weights, comma-separated priority:weight pairs (e.g. 1:3,0:1); unlisted classes weigh 1")
-	fs.Float64Var(&o.rebalance, "rebalance", 0, "fleet: re-partition workers from load history at most every this many seconds (0 disables)")
 	fs.Float64Var(&o.cacheBudget, "cache-budget", 0, "fleet: shared embedding-cache tier budget in MiB (0 disables the tier)")
 	fs.StringVar(&o.cachePolicy, "cache-policy", "static", "fleet cache eviction policy: static, lru or clock")
 	fs.Float64Var(&o.cacheRetier, "cache-retier", 0, "fleet cache: re-allocate the budget from windowed heat at most every this many simulated seconds (0 disables)")
@@ -305,15 +303,6 @@ func parseFlags(args []string, w io.Writer) (*options, error) {
 		}
 		o.configs = append(o.configs, cfg)
 	}
-	// The two rules the engine cannot judge: they exist because the fleet
-	// modes install RebalanceByLoad, which repartitions one worker per model
-	// at least and does not honor reservation floors.
-	if o.rebalance > 0 && o.gpus < len(o.configs) {
-		return nil, fmt.Errorf("-rebalance needs at least one worker per model to repartition (%d gpus, %d models)", o.gpus, len(o.configs))
-	}
-	if set["reserve"] && o.rebalance > 0 {
-		return nil, fmt.Errorf("-reserve and -rebalance are mutually exclusive: the load rebalancer does not honor reservation floors")
-	}
 	if o.models != "" {
 		if err := o.buildPool(set); err != nil {
 			return nil, err
@@ -366,7 +355,7 @@ func (o *options) rejectDeadFlags(set map[string]bool) error {
 	}
 	if o.models == "" {
 		for _, f := range []string{
-			"tenants", "policy", "placement", "shed-fraction", "weights", "rebalance",
+			"tenants", "policy", "placement", "shed-fraction", "weights",
 			"preempt", "reserve", "worker-classes",
 			"autoscale-max", "autoscale-every", "autoscale-lag", "autoscale-class",
 		} {
@@ -414,15 +403,11 @@ func (o *options) buildPool(set map[string]bool) error {
 		return fmt.Errorf("-weights only shapes weighted-fair dispatch (got -policy %s); pass -policy weighted-fair", o.policy)
 	}
 	c := fleet.Config{
-		Queue:          o.queuePolicy,
-		Placement:      placement,
-		Admission:      admission,
-		ShedFraction:   o.shedFraction,
-		RebalanceEvery: o.rebalance,
-		Preempt:        o.preempt,
-	}
-	if o.rebalance > 0 {
-		c.Rebalance = fleet.NewRebalanceByLoad(fleet.RebalanceByLoadConfig{})
+		Queue:        o.queuePolicy,
+		Placement:    placement,
+		Admission:    admission,
+		ShedFraction: o.shedFraction,
+		Preempt:      o.preempt,
 	}
 	if set["reserve"] {
 		if c.Reserve, err = parseReserve(o.reserve); err != nil {
@@ -1060,9 +1045,6 @@ func runFleet(o *options, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\npool: %s\n", m)
 	printCacheTier(w, m)
-	if m.Rebalances > 0 {
-		fmt.Fprintf(w, "rebalances applied: %d (from %d load snapshots)\n", m.Rebalances, len(m.LoadHistory))
-	}
 	printElastic(w, m)
 	fmt.Fprintf(w, "per-worker utilization over a %.2fms makespan:\n", m.Makespan*1e3)
 	for g, wk := range m.Workers {

@@ -160,9 +160,9 @@ func TestRunFleetMode(t *testing.T) {
 	}
 }
 
-// Fleet mode with the full PR-5 feature set through the run() seam:
-// weighted-fair admission, split-at-cap degradation and the load-history
-// rebalancer all leave their marks on the report, deterministically. The
+// Fleet mode through the run() seam: weighted-fair admission and
+// split-at-cap degradation both leave their marks on the report,
+// deterministically. The
 // deadline (9us) sits between the small-request sojourn (~6us) and the
 // long-tail service time (~11us at scale 400), so tail requests split
 // instead of being served whole or shed.
@@ -173,14 +173,13 @@ func TestRunFleetWeightedFairSplit(t *testing.T) {
 		"-scale", "400", "-requests", "30", "-qps", "2000",
 		"-gpus", "2", "-queue", "32",
 		"-degrade", "split-tail", "-tail", "0.25", "-deadline", "0.009",
-		"-rebalance", "0.001",
 	}
 	var out bytes.Buffer
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"weighted-fair admission", "split=", "rebalances applied: 1", "load snapshots"} {
+	for _, want := range []string{"weighted-fair admission", "split="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("fleet output missing %q in:\n%s", want, s)
 		}
@@ -371,34 +370,26 @@ func TestRunRejectsBadElasticFlags(t *testing.T) {
 		{[]string{"-worker-classes", "V100"}, "-models"},
 		{[]string{"-autoscale-max", "4"}, "-models"},
 		{[]string{"-tenants", "hi:1"}, "-models"},
-		{[]string{"-rebalance", "0.01"}, "-models"},
 		{[]string{"-model", "A", "-weights", "1:2"}, "-models"},
 		// Weights only steer the weighted-fair policy.
 		{[]string{"-models", "A", "-weights", "1:2"}, "weighted-fair"},
-		// The load rebalancer repartitions; it needs a worker per model.
-		{[]string{"-models", "A,A", "-gpus", "1", "-rebalance", "0.01"}, "-rebalance"},
-		{[]string{"-models", "A", "-rebalance", "-1"}, "RebalanceEvery"},
-		{[]string{"-models", "A", "-rebalance", "NaN"}, "RebalanceEvery"},
 		{[]string{"-models", "A", "-queue", "8", "-shed-fraction", "NaN"}, "ShedFraction"},
 		{[]string{"-models", "A", "-shed-fraction", "0.5"}, "bounded queue"},
 		{[]string{"-models", "A,Z"}, "unknown model"},
-		// Reservations: count list aligned with -models, exclusive with the
-		// rebalancer and dedicated placement, bounded by the pool.
+		// Reservations: count list aligned with -models, exclusive with
+		// dedicated placement, bounded by the pool.
 		{[]string{"-models", "A", "-reserve", "1,1"}, "Reserve has 2 entries"},
 		{[]string{"-models", "A", "-reserve", "x"}, "-reserve"},
 		{[]string{"-models", "A", "-reserve", "-1"}, "Reserve[0]"},
-		{[]string{"-models", "A", "-reserve", "1", "-rebalance", "0.01"}, "mutually exclusive"},
 		{[]string{"-models", "A", "-placement", "dedicated", "-reserve", "1"}, "dedicated"},
 		{[]string{"-models", "A", "-gpus", "2", "-reserve", "3"}, "Reserve pins"},
 		{[]string{"-models", "A,A", "-gpus", "2", "-reserve", "2,0"}, "shared"},
-		// Autoscaling: sub-flags without -autoscale-max are dead, the
-		// rebalancer fights the autoscaler over the pool's shape, and the
+		// Autoscaling: sub-flags without -autoscale-max are dead, and the
 		// ceiling cannot sit below the initial worker count.
 		{[]string{"-models", "A", "-autoscale-every", "0.1"}, "-autoscale-max"},
 		{[]string{"-models", "A", "-autoscale-lag", "0.1"}, "-autoscale-max"},
 		{[]string{"-models", "A", "-autoscale-max", "-1"}, "Autoscale.Max"},
 		{[]string{"-models", "A", "-gpus", "2", "-autoscale-max", "1"}, "Autoscale.Max"},
-		{[]string{"-models", "A", "-autoscale-max", "2", "-rebalance", "0.01"}, "mutually exclusive"},
 		{[]string{"-models", "A", "-autoscale-max", "2", "-autoscale-every", "0"}, "Autoscale.Every"},
 		{[]string{"-models", "A", "-autoscale-max", "2", "-autoscale-every", "NaN"}, "Autoscale.Every"},
 		{[]string{"-models", "A", "-autoscale-max", "2", "-autoscale-lag", "-1"}, "ScaleOutLag"},

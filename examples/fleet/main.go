@@ -17,12 +17,7 @@
 // dispatch. WeightedFair's deficit round-robin instead guarantees the batch
 // class its configured share of dispatches at a bounded p99.
 //
-// Act three is history-driven rebalancing: a hot and a cold model start
-// sharing all four workers; the built-in RebalanceByLoad policy reads the
-// recorded load history and re-partitions the pool toward the hot model
-// mid-replay.
-//
-// Act four is independent drift: two supervised models share the pool, their
+// Act three is independent drift: two supervised models share the pool, their
 // workloads drift at different times, and each detects, re-tunes in the
 // background on shared capacity and hot-swaps its own schedule set — the
 // neighbor's generation untouched.
@@ -51,7 +46,7 @@ func main() {
 	cfg := datasynth.Scaled(datasynth.ModelC(), 25) // 32 multi-hot features
 	features := experiments.Features(cfg)
 
-	// Compile-time: tune once on steady-state history; both acts clone this.
+	// Compile-time: tune once on steady-state history; every act starts from it.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var historical []*embedding.Batch
 	for _, n := range []int{256, 384} {
@@ -70,7 +65,6 @@ func main() {
 
 	noisyNeighbor(rf, cfg)
 	weightedFair(rf, cfg)
-	rebalanceByLoad(rf, cfg)
 	independentDrift(rf, cfg, tune)
 }
 
@@ -134,55 +128,6 @@ func weightedFair(rf *core.RecFlex, cfg *datasynth.ModelConfig) {
 	fmt.Printf("batch under weighted-fair: served %d/%d (p99 %.0fus), %.0f%% of all dispatches\n\n",
 		fair.Tenants[1].Served, len(batch), fair.Tenants[1].P99*1e6,
 		100*float64(fair.Tenants[1].Served)/float64(fair.Served))
-}
-
-// rebalanceByLoad shows the built-in load-history rebalancer re-partitioning
-// the pool: both models start packed on all four workers; once the recorded
-// history shows the demand skew, the hot model is handed three of them.
-func rebalanceByLoad(rf *core.RecFlex, cfg *datasynth.ModelConfig) {
-	src := func(_ float64, size int) (*embedding.Batch, error) {
-		return datasynth.BatchForSize(cfg, size)
-	}
-	svc := rf.TimedService(src, 64, nil)
-	sv, err := svc(0, 256)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var hot, cold []trace.Request
-	for i := 0; i < 160; i++ {
-		hot = append(hot, trace.Request{Arrival: float64(i) * 0.3 * sv, Size: 256})
-	}
-	for i := 0; i < 12; i++ {
-		cold = append(cold, trace.Request{Arrival: float64(i) * 4 * sv, Size: 256})
-	}
-	pool, err := fleet.NewPool(fleet.Config{
-		Queue:          trace.QueuePolicy{Workers: 4},
-		RebalanceEvery: 8 * sv,
-		Rebalance:      fleet.NewRebalanceByLoad(fleet.RebalanceByLoadConfig{}),
-	}, []fleet.Model{
-		{Name: "hot", Service: svc},
-		{Name: "cold", Service: svc},
-	}, []fleet.TenantSpec{{Name: "online"}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep, err := pool.Serve(fleet.Merge(
-		fleet.Stream{Model: 0, Tenant: 0, Reqs: hot},
-		fleet.Stream{Model: 1, Tenant: 0, Reqs: cold},
-	))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("-- act three: history-driven rebalancing (hot %d reqs vs cold %d reqs on 4 GPUs) --\n",
-		len(hot), len(cold))
-	fmt.Printf("rebalances applied: %d (from %d load snapshots); hot p99 %.0fus, cold p99 %.0fus\n",
-		rep.Metrics.Rebalances, len(rep.Metrics.LoadHistory),
-		rep.Metrics.Models[0].P99*1e6, rep.Metrics.Models[1].P99*1e6)
-	for w, wk := range rep.Metrics.Workers {
-		fmt.Printf("gpu%d served %d requests (util %.0f%%)\n", w, wk.Served, wk.Utilization*100)
-	}
-	fmt.Println()
 }
 
 // noisyNeighbor (act one) contrasts FIFO and priority-EDF admission for an
@@ -319,7 +264,7 @@ func independentDrift(rf *core.RecFlex, cfg *datasynth.ModelConfig, tune tuner.O
 		fleet.Stream{Model: 1, Tenant: 0, Reqs: reqsB},
 	)
 
-	fmt.Println("-- act four: two models drift and re-tune independently on the shared pool --")
+	fmt.Println("-- act three: two models drift and re-tune independently on the shared pool --")
 	res, err := core.ServeFleet(fleet.Config{Queue: trace.QueuePolicy{Workers: 2}}, models, tenants, stream)
 	if err != nil {
 		log.Fatal(err)

@@ -1,8 +1,10 @@
 package core
 
 import (
-	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/datasynth"
@@ -115,12 +117,71 @@ func TestServeContinuousEndToEnd(t *testing.T) {
 		n, staleMean*1e6, freshMean*1e6, staleMean/freshMean)
 }
 
+// reportDigest hashes every field of a serving report as exact hex floats,
+// except the host-time TuneWall of the run and of each swap: per-request
+// sojourns, outcomes and generations; the aggregates; every counter; the
+// latency histogram, per-worker stats and queue-depth series; the swap
+// history with its canary verdicts. Equal digests mean bit-identical runs,
+// NaN swap means included.
+func reportDigest(rep *trace.Report) string {
+	h := fnv.New64a()
+	hex := func(v float64) { io.WriteString(h, strconv.FormatFloat(v, 'x', -1, 64)+" ") }
+	num := func(v int) { io.WriteString(h, strconv.Itoa(v)+" ") }
+	for i := range rep.Sojourn {
+		hex(rep.Sojourn[i])
+	}
+	for i := range rep.Outcomes {
+		num(int(rep.Outcomes[i]))
+	}
+	for i := range rep.Generations {
+		num(rep.Generations[i])
+	}
+	num(rep.Served)
+	for _, v := range []float64{rep.P50, rep.P95, rep.P99, rep.MeanService, rep.Utilization} {
+		hex(v)
+	}
+	m := rep.Metrics
+	for _, v := range []int{m.Served, m.SplitServed, m.Timeouts, m.DeadlineSheds, m.QueueSheds,
+		m.QuotaSheds, m.LoadSheds, m.MaxQueueDepth, m.Generation, m.Rollbacks} {
+		num(v)
+	}
+	hex(m.Makespan)
+	hex(m.TuneBusy)
+	lat := m.Latency
+	for _, v := range []float64{lat.Min, lat.Max, lat.Sum, lat.LowValue, lat.HighValue} {
+		hex(v)
+	}
+	num(int(lat.Total))
+	for _, c := range lat.Counts {
+		num(int(c))
+	}
+	for _, w := range m.Workers {
+		num(w.Served)
+		hex(w.Busy)
+		hex(w.TuneBusy)
+		hex(w.Utilization)
+	}
+	for _, q := range m.QueueDepth {
+		hex(q.Time)
+		num(q.Depth)
+	}
+	for _, s := range m.Swaps {
+		num(s.Generation)
+		num(s.Worker)
+		num(s.Reinstated)
+		io.WriteString(h, strconv.FormatBool(s.Rollback)+" ")
+		for _, v := range []float64{s.Detected, s.Start, s.Swapped, s.TuneDuration,
+			s.PreMean, s.PostMean, s.CanaryMean, s.BaselineMean} {
+			hex(v)
+		}
+	}
+	return strconv.FormatUint(h.Sum64(), 16)
+}
+
 // Two identically-seeded drifting runs must be bit-identical — the whole
 // loop (admission, windowing, detection, background tune, swap timing,
-// metrics) is a pure function of (instance, trace, options). fmt's %+v
-// round-trips every distinct float64 and prints NaN stably, so string
-// equality is exact value equality up to NaN==NaN (swap means can be NaN
-// when a swap lands at a trace edge).
+// metrics) is a pure function of (instance, trace, options). The digest
+// covers every report field but the host-time tune wall clocks.
 func TestServeContinuousDeterministicSeed(t *testing.T) {
 	rf, reqs, src, opts := continuousFixture(t)
 
@@ -129,11 +190,10 @@ func TestServeContinuousDeterministicSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%+v", rep)
+		return reportDigest(rep)
 	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("identically-seeded runs diverged:\n%s\n---\n%s", a, b)
+	if a, b := run(), run(); a != b {
+		t.Fatalf("identically-seeded runs diverged: digest %s vs %s", a, b)
 	}
 
 	frozen := func() string {
@@ -141,10 +201,10 @@ func TestServeContinuousDeterministicSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%+v", rep)
+		return reportDigest(rep)
 	}
 	if fa, fb := frozen(), frozen(); fa != fb {
-		t.Fatalf("identically-seeded frozen runs diverged:\n%s\n---\n%s", fa, fb)
+		t.Fatalf("identically-seeded frozen runs diverged: digest %s vs %s", fa, fb)
 	}
 }
 
@@ -187,10 +247,10 @@ func TestServeContinuousCanaryConfirmsRetune(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%+v", rep)
+		return reportDigest(rep)
 	}
 	if a, b := run(), run(); a != b {
-		t.Fatalf("identically-seeded guarded runs diverged:\n%s\n---\n%s", a, b)
+		t.Fatalf("identically-seeded guarded runs diverged: digest %s vs %s", a, b)
 	}
 }
 

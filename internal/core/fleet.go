@@ -53,12 +53,10 @@ type FleetResult struct {
 // rollbacks) with model-local generations, while the pool arbitrates
 // capacity through cfg's placement strategy and admission policy — including
 // weighted-fair (deficit round-robin) dispatch between priority classes when
-// cfg.Admission is a fleet.WeightedFair. cfg's RebalanceEvery/Rebalance pair
-// enables periodic repartitioning (fleet.NewRebalanceByLoad consumes the
-// recorded load history), and cfg.Queue's DegradeSplitTail with SplitCap
-// splits over-cap tail requests inside the shared pool. After a successful
-// run each supervised model's instance adopts its final generation's tuning,
-// matching ServeContinuous's last-commit semantics.
+// cfg.Admission is a fleet.WeightedFair. cfg.Queue's DegradeSplitTail with
+// SplitCap splits over-cap tail requests inside the shared pool. After a
+// successful run each supervised model's instance adopts its final
+// generation's tuning, matching ServeContinuous's last-commit semantics.
 //
 // Determinism carries through from the parts: a fixed trace, drift sources
 // and tuner seeds reproduce the identical FleetResult.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -35,7 +34,7 @@ func TestConcurrentWarmRetunesSharedMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refStr := fmt.Sprintf("%+v", refRep)
+	refDigest := reportDigest(refRep)
 	refLat := ref.Tuned().Latency
 
 	memo := tuner.NewMemo()
@@ -61,8 +60,8 @@ func TestConcurrentWarmRetunesSharedMemo(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("model %d: %v", i, errs[i])
 		}
-		if got := fmt.Sprintf("%+v", reports[i]); got != refStr {
-			t.Errorf("model %d diverged from the cold-cache run:\n%s\n---\n%s", i, got, refStr)
+		if got := reportDigest(reports[i]); got != refDigest {
+			t.Errorf("model %d diverged from the cold-cache run: digest %s vs %s", i, got, refDigest)
 		}
 		if lat := lives[i].Tuned().Latency; math.Float64bits(lat) != math.Float64bits(refLat) {
 			t.Errorf("model %d adopted latency %g, want cold-cache %g exactly", i, lat, refLat)

@@ -145,8 +145,8 @@ type Config struct {
 	// Policy selects the eviction discipline.
 	Policy Policy
 	// RetierEvery re-runs the budget allocator from windowed heat at most
-	// every this many simulated seconds (paced at dispatch events, like the
-	// pool's rebalance hook); 0 disables online re-tiering.
+	// every this many simulated seconds (paced at dispatch events); 0
+	// disables online re-tiering.
 	RetierEvery float64
 	// HeatDecay is the fraction of accumulated heat carried across retier
 	// windows (EWMA); 0 defaults to 0.5.

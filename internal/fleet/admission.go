@@ -32,8 +32,8 @@ const (
 	OutcomeSplit
 	// OutcomePreempted: an informational per-chunk resolution under
 	// Config.Preempt — a queued split chunk lost its dispatch-ahead right to
-	// a strictly higher-priority waiting request (or to an applied rebalance
-	// / scale-in decision) and was requeued at the preemption time. It is
+	// a strictly higher-priority waiting request (or to a scale-in decision)
+	// and was requeued at the preemption time. It is
 	// never a request's final outcome: the parent request still resolves as
 	// OutcomeSplit (or a shed), with its sojourn measured from the original
 	// arrival. Preempt events surface only in the live event stream and

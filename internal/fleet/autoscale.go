@@ -5,10 +5,10 @@ import (
 	"math"
 )
 
-// AutoscaleConfig shapes the pool's elastic sizing. The autoscaler consumes
-// the same windowed demand signal as RebalanceByLoad — the per-model queued
-// backlog recorded into LoadHistory at each pacing tick — and grows or
-// shrinks the worker set one step per tick:
+// AutoscaleConfig shapes the pool's elastic sizing. At each pacing tick the
+// autoscaler records the pool's backlog — Live.Pending, the admitted
+// requests not yet resolved — averages it over its last Window ticks, and
+// grows or shrinks the worker set one step per tick:
 //
 //   - scale-out: when the window's mean backlog per active worker exceeds
 //     UpBacklog and fewer than Max workers are active, a new worker of class
@@ -23,11 +23,11 @@ import (
 //     model's last placement is skipped.
 //
 // Every decision is a pure function of virtual time and the recorded
-// history, so autoscaled sessions replay bit-identically.
+// backlog, so autoscaled sessions replay bit-identically.
 type AutoscaleConfig struct {
-	// Every is the decision pacing in virtual seconds (> 0). Like the
-	// rebalance pacing it is evaluated on both arrival and dispatch events,
-	// so the pool keeps shrinking while the queue drains.
+	// Every is the decision pacing in virtual seconds (> 0). It is
+	// evaluated on both arrival and dispatch events, so the pool keeps
+	// shrinking while the queue drains.
 	Every float64
 	// Min and Max bound the active (non-draining) worker count. Min 0 means
 	// 1; Max must be at least the initial worker count.
@@ -42,7 +42,7 @@ type AutoscaleConfig struct {
 	UpBacklog float64
 	// DownBacklog is the level below which the pool shrinks; 0 means 0.25.
 	DownBacklog float64
-	// Window is how many recent load snapshots the backlog average spans;
+	// Window is how many recent pacing ticks the backlog average spans;
 	// 0 means 4.
 	Window int
 }
@@ -130,39 +130,36 @@ type WorkerLife struct {
 	RetiredAt float64
 }
 
-// maybeAutoscale evaluates the autoscaler at its virtual-time pacing,
-// recording a load snapshot exactly like the rebalance hook does. Returns
-// whether the pool's shape changed (the caller's dispatch candidate must be
-// recomputed then).
-func (l *Live) maybeAutoscale(now float64) (bool, error) {
+// maybeAutoscale evaluates the autoscaler at its virtual-time pacing: it
+// records the Pending count into the backlog ring, overwriting the oldest
+// tick once the window is full, and scales on the window's mean. Pending
+// counts a split request once, however many of its chunks are queued. The
+// counts are integers, so their sum, and with it every decision, is exact
+// in any summation order. Returns whether the pool's shape changed (the
+// caller's dispatch candidate must be recomputed then).
+func (l *Live) maybeAutoscale(now float64) bool {
 	a := l.p.cfg.Autoscale
 	if a == nil || now < l.lastScale+a.Every {
-		return false, nil
+		return false
 	}
 	l.lastScale = now
-	l.recordSnapshot(now)
-
-	hist := l.met.LoadHistory
-	win := a.window()
-	var backlog float64
-	n := 0
-	for i := len(hist) - 1; i >= 0 && n < win; i-- {
-		for _, q := range hist[i].QueuedByModel {
-			backlog += float64(q)
-		}
-		n++
+	l.backlog[l.ticks%len(l.backlog)] = l.Pending()
+	l.ticks++
+	n := min(l.ticks, len(l.backlog))
+	sum := 0
+	for _, q := range l.backlog[:n] {
+		sum += q
 	}
-	backlog /= float64(n)
 
-	per := backlog / float64(l.active)
+	per := float64(sum) / float64(n) / float64(l.active)
 	switch {
 	case per > a.up() && l.active < a.Max:
 		l.scaleOut(now, a)
-		return true, nil
+		return true
 	case per < a.down() && l.active > a.minWorkers():
-		return l.scaleIn(now), nil
+		return l.scaleIn(now)
 	}
-	return false, nil
+	return false
 }
 
 // scaleOut adds one worker of the autoscaler's class: it joins every model's

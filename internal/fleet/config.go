@@ -107,11 +107,10 @@ type Config struct {
 	// Reserve holds each model's exclusive worker floor under packed or
 	// spread placement, one entry per model in pool order (nil reserves
 	// nothing): the lowest sum(Reserve) worker ids are carved out as
-	// exclusive blocks in model order, rebalance assignments must keep every
-	// floor, the autoscaler never drains a reserved worker, and a model's
-	// background re-tunes prefer its reserved workers — the "tune on a
-	// dedicated spare" discipline. Rejected under dedicated placement, where
-	// every worker is already exclusive.
+	// exclusive blocks in model order, the autoscaler never drains a
+	// reserved worker, and a model's background re-tunes prefer its reserved
+	// workers — the "tune on a dedicated spare" discipline. Rejected under
+	// dedicated placement, where every worker is already exclusive.
 	Reserve []int
 	// Admission decides who enters the queue and who dispatches next; nil
 	// means NewPriorityEDF over the pool's tenants with ShedFraction.
@@ -123,21 +122,13 @@ type Config struct {
 	// latency-critical class. 0 disables; requires a bounded queue to have
 	// any effect. Ignored when a custom Admission policy is supplied.
 	ShedFraction float64
-	// RebalanceEvery invokes the Rebalance hook at the first arrival at
-	// least this many virtual seconds after the previous invocation; 0
-	// disables rebalancing.
-	RebalanceEvery float64
-	// Rebalance is the load-aware placement hook (nil = keep the initial
-	// assignment). Mutually exclusive with Autoscale: the autoscaler owns
-	// the pool's shape when armed.
-	Rebalance RebalanceFunc
 	// Preempt arms chunk-boundary preemption: a queued split chunk normally
 	// dispatches ahead of any policy pick, but with Preempt set it yields
 	// when a strictly higher-priority whole request is waiting on the same
 	// worker — the chunk requeues at the preemption time (an OutcomePreempted
 	// event per chunk, counted in Metrics.Preemptions) and the policy picks
-	// instead. An applied rebalance or scale-in likewise requeues every
-	// queued chunk, modeling the migration cost. The parent request's final
+	// instead. A scale-in likewise requeues every queued chunk, modeling the
+	// migration cost. The parent request's final
 	// outcome and sojourn accounting are unchanged: preemption only delays
 	// its remaining chunks. With a single priority class preemption never
 	// fires and replay is bit-identical to a preemption-free pool.
@@ -152,9 +143,9 @@ type Config struct {
 	// Autoscale.Class or a model's ClassScale must be within it.
 	ClassNames []string
 	// Autoscale, when set, lets the pool grow and shrink between
-	// Autoscale.Min and Autoscale.Max workers from the same windowed demand
-	// signal RebalanceByLoad consumes, with scale-out lag and
-	// drain-before-remove semantics. Restricted to packed/spread placement.
+	// Autoscale.Min and Autoscale.Max workers from a windowed backlog
+	// signal, with scale-out lag and drain-before-remove semantics.
+	// Restricted to packed/spread placement.
 	Autoscale *AutoscaleConfig
 	// Cache, when set, is the shared embedding-cache tier every dispatched
 	// request consults and mutates: cold rows are charged to the request's
@@ -188,8 +179,6 @@ func (c *Config) Validate(models, tenants int) error {
 		// the feature silently never fires. Reject the dead combination
 		// instead of letting it masquerade as protection.
 		return fmt.Errorf("fleet: ShedFraction %g requires a bounded queue (QueueDepth > 0): load-aware shedding never fires over an unbounded queue", c.ShedFraction)
-	case !(c.RebalanceEvery >= 0):
-		return fmt.Errorf("fleet: RebalanceEvery must be >= 0, got %g", c.RebalanceEvery)
 	}
 	workers := c.Queue.EffectiveWorkers()
 	if c.Placement == PlacementDedicated && workers < models {
@@ -222,9 +211,6 @@ func (c *Config) Validate(models, tenants int) error {
 	if c.Autoscale != nil {
 		if c.Placement == PlacementDedicated {
 			return fmt.Errorf("fleet: Autoscale requires packed or spread placement (a dedicated partition has no shared workers to grow)")
-		}
-		if c.Rebalance != nil {
-			return fmt.Errorf("fleet: Autoscale and Rebalance are mutually exclusive (the autoscaler owns the pool's shape)")
 		}
 		if err := c.Autoscale.Validate(workers); err != nil {
 			return err

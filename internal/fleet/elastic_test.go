@@ -153,8 +153,7 @@ func TestFleetWorkerClassScaling(t *testing.T) {
 }
 
 // Config.Reserve carves exclusive workers out of the shared pool: the initial
-// assignment honors the floor, a rebalance that would break it is rejected,
-// and a reserved model's background tunes land on its spare.
+// assignment honors the floor, and shapes that cannot hold it are rejected.
 func TestFleetReservations(t *testing.T) {
 	p := mustPool(t, fleet.Config{Queue: trace.QueuePolicy{Workers: 3}, Reserve: []int{1, 0}},
 		[]fleet.Model{
@@ -185,27 +184,6 @@ func TestFleetReservations(t *testing.T) {
 			{Name: "b", Service: constSvc(1)},
 		}, oneTenant()); err == nil {
 		t.Error("reservations larger than the pool were accepted")
-	}
-
-	// A rebalance that leaves the reserved model without its exclusive floor
-	// must be rejected as an engine error.
-	bad := mustPool(t, fleet.Config{
-		Queue:          trace.QueuePolicy{Workers: 3},
-		Reserve:        []int{1, 0},
-		RebalanceEvery: 0.1,
-		Rebalance: func(now float64, hist []fleet.LoadSnapshot, cur fleet.Assignment) fleet.Assignment {
-			return fleet.Assignment{{1, 2}, {1, 2}} // no exclusive worker for model a
-		},
-	}, []fleet.Model{
-		{Name: "a", Service: constSvc(0.5)},
-		{Name: "b", Service: constSvc(0.5)},
-	}, oneTenant())
-	var reqs []fleet.Request
-	for i := 0; i < 8; i++ {
-		reqs = append(reqs, fleet.Request{Arrival: float64(i) * 0.1, Size: 16, Model: i % 2})
-	}
-	if _, err := bad.Serve(reqs); err == nil {
-		t.Error("rebalance violating the Reserve floor was applied")
 	}
 }
 
@@ -278,49 +256,37 @@ func TestFleetPreemptionPrioritizesUrgent(t *testing.T) {
 	eqFleetReports(t, rep, mustServe(t, build(true), reqs))
 }
 
-// Regression for the rebalance snapshot double-count: split chunks used to be
-// added per-chunk on top of per-request queue counts, so QueuedByModel could
-// exceed the engine's own pending accounting. Every snapshot's total must
-// equal Live.Pending at snapshot time.
+// Regression for the split double-count in the load signal: split chunks
+// used to be counted per chunk on top of per-request queue counts. Every
+// backlog sample the autoscaler takes must total Live.Pending, where a split
+// request counts once from its split until its last chunk lands. One tail
+// request split into 8 chunks on one worker keeps the backlog at 1, so a
+// pool armed to grow above 2 per worker never grows; 4 whole requests do
+// grow it.
 func TestFleetSnapshotTotalsMatchPending(t *testing.T) {
-	var lv *fleet.Live
-	hookCalls, sawSplit := 0, false
-	p := mustPool(t, fleet.Config{
-		Queue:          trace.QueuePolicy{Workers: 2, Deadline: 1.0, Policy: trace.DegradeSplitTail, SplitCap: 256},
-		Admission:      fleet.FIFO{},
-		RebalanceEvery: 0.05,
-		Rebalance: func(now float64, hist []fleet.LoadSnapshot, cur fleet.Assignment) fleet.Assignment {
-			hookCalls++
-			last := hist[len(hist)-1]
-			total := 0
-			for _, q := range last.QueuedByModel {
-				total += q
-			}
-			if pending := lv.Pending(); total != pending {
-				t.Errorf("snapshot at t=%g totals %d queued, engine has %d pending", now, total, pending)
-			}
-			return nil
-		},
-	}, []fleet.Model{{Name: "m", Service: sizeSvc(1e-3)}}, oneTenant())
+	serve := func(reqs []fleet.Request) *fleet.Report {
+		p := mustPool(t, fleet.Config{
+			Queue:     trace.QueuePolicy{Workers: 1, Deadline: 0.5, Policy: trace.DegradeSplitTail, SplitCap: 128},
+			Admission: fleet.FIFO{},
+			Autoscale: &fleet.AutoscaleConfig{Every: 0.05, Max: 2, UpBacklog: 2, Window: 1},
+		}, []fleet.Model{{Name: "m", Service: sizeSvc(1e-3)}}, oneTenant())
+		return mustServe(t, p, reqs)
+	}
 
-	lv = p.Begin()
-	for _, r := range denseStream(48, true) {
-		if _, _, err := lv.Admit(fleet.Request{Arrival: r.Arrival, Size: r.Size}); err != nil {
-			t.Fatal(err)
-		}
+	rep := serve([]fleet.Request{{Arrival: 0, Size: 1024}})
+	if rep.Outcomes[0] != fleet.OutcomeSplit {
+		t.Fatalf("tail request resolved %v, want split; the regression needs in-flight chunks at each tick", rep.Outcomes[0])
 	}
-	rep, _, err := lv.Close()
-	if err != nil {
-		t.Fatal(err)
+	if n := len(rep.Metrics.ScaleEvents); n != 0 {
+		t.Errorf("one split request scaled the pool %d times: its queued chunks were counted as backlog", n)
 	}
-	if rep.Metrics.SplitServed > 0 {
-		sawSplit = true
+
+	var whole []fleet.Request
+	for i := 0; i < 4; i++ {
+		whole = append(whole, fleet.Request{Arrival: 0, Size: 100})
 	}
-	if hookCalls == 0 {
-		t.Fatal("rebalance pacing never fired")
-	}
-	if !sawSplit {
-		t.Fatal("stream produced no splits; the regression needs in-flight chunks at snapshot time")
+	if rep := serve(whole); len(rep.Metrics.ScaleEvents) == 0 {
+		t.Error("4 queued whole requests on one worker never scaled the pool out")
 	}
 }
 

@@ -6,7 +6,7 @@
 // (internal/trace) does not have:
 //
 //   - placement: which workers each model may run on (packed, spread or
-//     dedicated, with a load-aware rebalancing hook);
+//     dedicated, with optional per-model reserved workers);
 //   - admission: which arrival enters the shared queue and which queued
 //     request dispatches next (pluggable AdmissionPolicy; the default is
 //     strict priority classes with earliest-deadline-first dispatch within
@@ -51,7 +51,7 @@ type Pool struct {
 	// autoscaler never drains them.
 	reserved int
 	// reserves holds each model's Config.Reserve floor (0 for every model
-	// without one) for rebalance validation and tune placement.
+	// without one) for tune placement.
 	reserves []int
 	// single is the single-model admission rule when it is the policy, nil
 	// otherwise: Live.Admit asks it for a queued request to evict.
@@ -204,8 +204,8 @@ func (o *modelOccupier) Occupy(now, dur float64) (worker int, start, end float64
 
 // exclusiveWorkers returns the workers in model m's current placement that
 // appear in no other model's row — its reserved spares under the live
-// assignment (a rebalance may reshape the rows, but validateReserves keeps
-// the floor).
+// assignment (the autoscaler never drains a reserved worker, so the floor
+// holds).
 func (st *poolRun) exclusiveWorkers(m int) []int {
 	var out []int
 	for _, w := range st.asg[m] {

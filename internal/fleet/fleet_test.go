@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/fleet"
@@ -226,53 +225,6 @@ func TestFleetPackedVsSpread(t *testing.T) {
 	}
 }
 
-// The rebalance hook fires on the configured pacing, its returned assignment
-// steers subsequent dispatch, and applied rebalances are counted.
-func TestFleetRebalanceHook(t *testing.T) {
-	var calls int32
-	p := mustPool(t, fleet.Config{
-		Queue:          trace.QueuePolicy{Workers: 2},
-		RebalanceEvery: 1,
-		Rebalance: func(now float64, hist []fleet.LoadSnapshot, cur fleet.Assignment) fleet.Assignment {
-			atomic.AddInt32(&calls, 1)
-			if len(hist) == 0 || len(hist[len(hist)-1].Workers) != 2 {
-				t.Errorf("rebalance history %v, want a snapshot of 2 workers", hist)
-			}
-			return fleet.Assignment{{1}} // pin the model to worker 1
-		},
-	}, []fleet.Model{{Name: "m", Service: constSvc(0.1)}}, oneTenant())
-	reqs := []fleet.Request{
-		{Arrival: 0, Size: 16},   // before any rebalance: packed -> worker 0
-		{Arrival: 1.5, Size: 16}, // rebalance fires, then dispatch on worker 1
-		{Arrival: 1.6, Size: 16},
-	}
-	rep := mustServe(t, p, reqs)
-	if want := []int{0, 1, 1}; !reflect.DeepEqual(rep.Worker, want) {
-		t.Errorf("workers %v, want %v after rebalance", rep.Worker, want)
-	}
-	if got := atomic.LoadInt32(&calls); got != 1 {
-		t.Errorf("rebalance hook ran %d times, want 1 (paced at 1s over a 1.6s trace)", got)
-	}
-	if rep.Metrics.Rebalances != 1 {
-		t.Errorf("Rebalances = %d, want 1", rep.Metrics.Rebalances)
-	}
-}
-
-// An invalid assignment from the hook fails the run loudly.
-func TestFleetRebalanceInvalid(t *testing.T) {
-	p := mustPool(t, fleet.Config{
-		Queue:          trace.QueuePolicy{Workers: 2},
-		RebalanceEvery: 1,
-		Rebalance: func(float64, []fleet.LoadSnapshot, fleet.Assignment) fleet.Assignment {
-			return fleet.Assignment{{5}}
-		},
-	}, []fleet.Model{{Name: "m", Service: constSvc(0.1)}}, oneTenant())
-	_, err := p.Serve([]fleet.Request{{Arrival: 0, Size: 16}, {Arrival: 2, Size: 16}})
-	if err == nil || !strings.Contains(err.Error(), "rebalance") {
-		t.Fatalf("invalid rebalance assignment: err = %v, want rebalance error", err)
-	}
-}
-
 // A supervised model on the pool keeps the exact single-model drift
 // semantics: the scripted scenario from the trace package's swap-semantics
 // test reproduces through the fleet — same generation stamps, same sojourns,
@@ -387,8 +339,7 @@ func eqFleetReports(t *testing.T, a, b *fleet.Report) {
 	}
 	am, bm := a.Metrics, b.Metrics
 	if am.Served != bm.Served || am.Timeouts != bm.Timeouts || am.Shed() != bm.Shed() ||
-		am.MaxQueueDepth != bm.MaxQueueDepth || am.Makespan != bm.Makespan ||
-		am.Rebalances != bm.Rebalances {
+		am.MaxQueueDepth != bm.MaxQueueDepth || am.Makespan != bm.Makespan {
 		t.Fatalf("pool metrics differ: %v vs %v", am, bm)
 	}
 	for g := range am.Models {
@@ -531,8 +482,6 @@ func TestNewPoolErrors(t *testing.T) {
 		{"shed fraction", fleet.Config{Queue: okQueue, ShedFraction: 1.5}, okModels, oneTenant(), "ShedFraction"},
 		{"NaN shed fraction", fleet.Config{Queue: trace.QueuePolicy{Workers: 2, QueueDepth: 8}, ShedFraction: math.NaN()},
 			okModels, oneTenant(), "ShedFraction"},
-		{"rebalance pacing", fleet.Config{Queue: okQueue, RebalanceEvery: -1}, okModels, oneTenant(), "RebalanceEvery"},
-		{"NaN rebalance pacing", fleet.Config{Queue: okQueue, RebalanceEvery: math.NaN()}, okModels, oneTenant(), "RebalanceEvery"},
 		{"reserve count", fleet.Config{Queue: okQueue, Reserve: []int{1, 0}}, okModels, oneTenant(), "Reserve has 2 entries"},
 		{"negative reserve", fleet.Config{Queue: okQueue, Reserve: []int{-1}}, okModels, oneTenant(), "Reserve[0]"},
 		{"dedicated reserve", fleet.Config{Queue: okQueue, Placement: fleet.PlacementDedicated, Reserve: []int{1}},

@@ -37,7 +37,7 @@ type Event struct {
 }
 
 // Live is one incremental session over a Pool: the same admission, dispatch,
-// rebalancing, drift-control and split-at-cap machinery as Pool.Serve, but
+// autoscaling, drift-control and split-at-cap machinery as Pool.Serve, but
 // driven one arrival at a time. Pool.Serve is implemented on top of it —
 // Begin, Admit every request in arrival order, Close — which is exactly what
 // makes a recorded live session replay bit-identically offline: the batch
@@ -80,7 +80,6 @@ type Live struct {
 
 	queuedByTenant []int
 	queuedByModel  []int
-	splitsByModel  []int // in-flight splits per model (split creation to last chunk)
 	workByModel    []float64
 	serviceByModel []float64 // served requests' service, summed in completion order
 	lastEndByModel []float64 // each model's last completion
@@ -90,14 +89,17 @@ type Live struct {
 	// Elastic-pool state: drain marks workers the autoscaler removed from
 	// every placement row (they finish in-flight work, then sit retired);
 	// lives records each worker's add/retire times; active counts the
-	// workers not draining.
-	drain  []bool
-	lives  []WorkerLife
-	active int
+	// workers not draining. backlog is the autoscaler's window, a ring of
+	// the Pending count at each of its last Window pacing ticks; ticks
+	// counts the ticks taken so far.
+	drain   []bool
+	lives   []WorkerLife
+	active  int
+	backlog []int
+	ticks   int
 
 	met       *Metrics
 	lastEnd   float64
-	lastReb   float64
 	lastScale float64
 	started   bool
 	first     float64
@@ -136,7 +138,6 @@ func (p *Pool) Begin() *Live {
 		placedHere:     make([]bool, len(p.models)),
 		queuedByTenant: make([]int, len(p.tenants)),
 		queuedByModel:  make([]int, len(p.models)),
-		splitsByModel:  make([]int, len(p.models)),
 		workByModel:    make([]float64, len(p.models)),
 		serviceByModel: make([]float64, len(p.models)),
 		lastEndByModel: make([]float64, len(p.models)),
@@ -148,6 +149,9 @@ func (p *Pool) Begin() *Live {
 	}
 	for w := 0; w < k; w++ {
 		l.lives[w] = WorkerLife{Worker: w, Class: class[w], RetiredAt: math.NaN()}
+	}
+	if a := p.cfg.Autoscale; a != nil {
+		l.backlog = make([]int, a.window())
 	}
 	for m := range p.models {
 		if p.models[m].Supervisor != nil {
@@ -282,7 +286,6 @@ func (l *Live) Admit(r Request) (int, []Event, error) {
 	if !l.started {
 		l.started = true
 		l.first = r.Arrival
-		l.lastReb = r.Arrival
 		l.lastScale = r.Arrival
 		for w := range l.lives {
 			l.lives[w].AddedAt = r.Arrival
@@ -295,14 +298,10 @@ func (l *Live) Admit(r Request) (int, []Event, error) {
 		return 0, nil, l.fail(err)
 	}
 
-	// Load-aware rebalancing and autoscaling hooks, paced by virtual time
-	// (mutually exclusive by config validation).
-	if _, err := l.maybeRebalance(now); err != nil {
-		return 0, nil, l.fail(err)
-	}
-	if _, err := l.maybeAutoscale(now); err != nil {
-		return 0, nil, l.fail(err)
-	}
+	// The autoscaler's pacing is evaluated at arrivals too. Admission does
+	// not depend on the pool's shape, so a scale decision needs nothing
+	// recomputed here.
+	l.maybeAutoscale(now)
 
 	// The model's drift control observes every arrival — before any queue
 	// placement or shedding, exactly like the single-model engine — and
@@ -524,70 +523,9 @@ func (l *Live) observeDepth() {
 	}
 }
 
-// recordSnapshot appends one load observation to the history the rebalance
-// and autoscale hooks consume. The per-model count is maintained
-// incrementally — whole queued admissions plus in-flight splits, each split
-// counting exactly once until its last chunk lands — so recording is
-// O(models × placed workers), never a scan of the queue, and the snapshot's
-// total always equals Pending().
-func (l *Live) recordSnapshot(now float64) {
-	kw := len(l.st.free)
-	qbm := make([]int, len(l.queuedByModel))
-	for m := range qbm {
-		qbm[m] = l.queuedByModel[m] + l.splitsByModel[m]
-	}
-	load := make([]WorkerLoad, kw)
-	for w := 0; w < kw; w++ {
-		load[w] = WorkerLoad{Busy: l.st.busy[w], TuneBusy: l.st.tune[w], FreeAt: l.st.free[w], Class: l.st.class[w]}
-	}
-	for m := range l.st.asg {
-		for _, w := range l.st.asg[m] {
-			load[w].Queued += qbm[m]
-		}
-	}
-	l.met.LoadHistory = append(l.met.LoadHistory, LoadSnapshot{
-		Time:          now,
-		Workers:       load,
-		QueuedByModel: qbm,
-		WorkByModel:   append([]float64(nil), l.workByModel...),
-	})
-}
-
-// maybeRebalance evaluates the rebalance hook at its virtual-time pacing. It
-// runs on both arrival and dispatch events — dispatch events keep it alive
-// while the queue drains after the last arrival and across arrival-free
-// windows — and records a load snapshot into the history the hook consumes.
-// Returns whether a new assignment was applied.
-func (l *Live) maybeRebalance(now float64) (bool, error) {
-	p := l.p
-	if p.cfg.Rebalance == nil || p.cfg.RebalanceEvery <= 0 || now < l.lastReb+p.cfg.RebalanceEvery {
-		return false, nil
-	}
-	l.lastReb = now
-	l.recordSnapshot(now)
-	na := p.cfg.Rebalance(now, l.met.LoadHistory, l.st.asg.clone())
-	if na == nil {
-		return false, nil
-	}
-	if err := na.validate(len(p.models), len(l.st.free)); err != nil {
-		return false, fmt.Errorf("fleet: rebalance at t=%g: %w", now, err)
-	}
-	if p.reserved > 0 {
-		if err := validateReserves(na, p.reserves); err != nil {
-			return false, fmt.Errorf("fleet: rebalance at t=%g: %w", now, err)
-		}
-	}
-	l.st.asg = na.clone()
-	l.met.Rebalances++
-	if p.cfg.Preempt {
-		l.preemptQueuedChunks(now)
-	}
-	return true, nil
-}
-
-// preemptQueuedChunks requeues every already-arrived split chunk at now: an
-// applied rebalance or a scale-in moved placement out from under pending
-// chunks, so their queued dispatches restart under the new shape. Each
+// preemptQueuedChunks requeues every already-arrived split chunk at now: a
+// scale-in moved placement out from under pending chunks, so their queued
+// dispatches restart under the new shape. Each
 // requeue emits an informational OutcomePreempted event and bumps
 // Metrics.Preemptions; sojourn accounting is unaffected because a split's
 // sojourn runs from its parent's original arrival (fleetSplit.arrival), not
@@ -701,27 +639,21 @@ func (l *Live) advanceUntil(bound float64) error {
 	}
 }
 
-// step takes the next engine step at or before bound: a rebalance or a
-// scale decision due at the next dispatch time, or else the dispatch itself.
-// It reports false when no dispatch is due by bound.
+// step takes the next engine step at or before bound: a scale decision due
+// at the next dispatch time, or else the dispatch itself. It reports false
+// when no dispatch is due by bound.
 func (l *Live) step(bound float64) (bool, error) {
 	bestW, tDisp := l.nextDispatch()
 	if bestW == -1 || tDisp > bound {
 		return false, nil
 	}
-	// The rebalance pacing is evaluated at dispatch events too — otherwise
-	// the hook would fall silent the moment arrivals stop (drain phase) or
-	// thin out. An applied rebalance invalidates the candidate computed
-	// above, so the next step recomputes it under the new assignment;
-	// lastReb has advanced, so this cannot loop.
-	if changed, err := l.maybeRebalance(tDisp); err != nil || changed {
-		return err == nil, err
-	}
-	// Same rule for the autoscaler: a scale decision reshapes the worker
-	// set, so the candidate must be recomputed; lastScale has advanced, so
-	// this cannot loop either.
-	if changed, err := l.maybeAutoscale(tDisp); err != nil || changed {
-		return err == nil, err
+	// The autoscaler's pacing is evaluated at dispatch events too —
+	// otherwise it would fall silent the moment arrivals stop (drain phase)
+	// or thin out. A scale decision reshapes the worker set, so the
+	// candidate computed above must be recomputed; lastScale has advanced,
+	// so this cannot loop.
+	if l.maybeAutoscale(tDisp) {
+		return true, nil
 	}
 	return true, l.dispatchAt(bestW, tDisp)
 }
@@ -838,7 +770,6 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 				Sojourn: soj, Dispatch: sp.firstDisp, Service: sp.service,
 				Worker: sp.worker, End: sp.end,
 			})
-			l.splitsByModel[e.model]--
 			delete(l.splits, e.id)
 		}
 		return nil
@@ -892,7 +823,6 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 		// arrived under.
 		cs := p.cfg.Queue.ChunkSizes(e.size)
 		l.splits[e.id] = &fleetSplit{remaining: len(cs), size: e.size, arrival: e.arrival, firstDisp: math.NaN()}
-		l.splitsByModel[e.model]++
 		for _, c := range cs {
 			// Chunks carry the parent's priority so the preemption gate can
 			// compare them against waiting whole requests.

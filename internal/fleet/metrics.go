@@ -69,12 +69,10 @@ type Metrics struct {
 	Workers []trace.WorkerStats
 	// Models and Tenants are the per-group splits.
 	Models, Tenants []GroupMetrics
-	// Rebalances counts applied placement changes from the rebalance hook.
-	Rebalances int
 	// Preemptions counts chunk-boundary preemptions under Config.Preempt:
 	// each is one queued split chunk that yielded its dispatch slot (to a
-	// higher-priority whole request, an applied rebalance or a scale-in) and
-	// was requeued at the preemption time.
+	// higher-priority whole request or a scale-in) and was requeued at the
+	// preemption time.
 	Preemptions int
 	// ScaleEvents records every applied autoscaling decision in virtual-time
 	// order (empty without Config.Autoscale).
@@ -82,11 +80,6 @@ type Metrics struct {
 	// WorkerLives records each worker's add/retire times in an autoscaled
 	// run, indexed by worker id (nil without Config.Autoscale).
 	WorkerLives []WorkerLife
-	// LoadHistory is every load snapshot recorded at the rebalance pacing
-	// (empty when no Rebalance hook is configured). The last entry is the
-	// most recent; RebalanceByLoad consumes this same history during the
-	// run. Callers must treat it as read-only.
-	LoadHistory []LoadSnapshot
 	// Policy names the admission policy that shaped the run.
 	Policy string
 	// Placement names the placement strategy.
