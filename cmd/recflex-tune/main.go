@@ -48,7 +48,7 @@ func run(args []string, w io.Writer) error {
 		sepAblat = fs.Bool("separate", false, "also run the separate-combine straw-man tuner")
 		outFile  = fs.String("o", "", "save the tuned schedules as JSON (loadable by core.LoadTuned)")
 		warmFile = fs.String("warm-start", "", "warm-start the search from a previously saved tuning result (a -o file)")
-		serial   = fs.Bool("serial", false, "force the serial reference engine (ignores -warm-start)")
+		serial   = fs.Bool("serial", false, "force the serial reference engine, which always searches cold")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,6 +64,9 @@ func run(args []string, w io.Writer) error {
 	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
+	}
+	if *serial && *warmFile != "" {
+		return fmt.Errorf("-warm-start has no effect with -serial: the serial reference engine always searches cold")
 	}
 
 	configs := map[string]*datasynth.ModelConfig{
@@ -116,6 +119,11 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "selected occupancy: %d blocks/SM; fused latency over tuning data: %s\n",
 		res.Occupancy, report.FmtUS(res.Latency))
 	for _, po := range res.PerOccupancy {
+		if po.Abandoned {
+			// Latency is a strict lower bound, not a measurement.
+			fmt.Fprintf(w, "  occupancy %2d blocks/SM -> abandoned (> %s)\n", po.BlocksPerSM, report.FmtUS(po.Latency))
+			continue
+		}
 		fmt.Fprintf(w, "  occupancy %2d blocks/SM -> %s\n", po.BlocksPerSM, report.FmtUS(po.Latency))
 	}
 

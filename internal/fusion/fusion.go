@@ -22,6 +22,8 @@ package fusion
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/embedding"
 	"repro/internal/gpusim"
@@ -258,18 +260,12 @@ func countUniqueSchedules(features []FeatureInfo, choices []sched.Schedule) int 
 // charging dispatch overhead and spill traffic.
 func (fu *Fused) buildKernel(res gpusim.KernelResources) {
 	blocks := make([]gpusim.BlockWork, len(fu.Map.Feature))
-	// Average dispatch depth: with code sharing the chain has
-	// UniqueSchedules branches and a block falls through half on average.
-	branchCycles := ifElseCyclesPerCompare * float64(fu.UniqueSchedules) / 2
+	branchCycles := ifElseBranchCycles(fu.UniqueSchedules)
 
 	for i := range blocks {
 		f := int(fu.Map.Feature[i])
 		w := fu.Map.blockWork(fu, i)
-
-		// Every block reads its d_task_map / d_blocks_map entries from
-		// global memory before dispatching.
-		w.DRAMBytes += 32
-		w.MemRequests++
+		readTaskMap(&w)
 
 		switch fu.Opts.Dispatch {
 		case DispatchFuncPtr:
@@ -292,6 +288,66 @@ func (fu *Fused) buildKernel(res gpusim.KernelResources) {
 		Blocks:              blocks,
 		BlocksPerSMOverride: fu.Opts.TargetBlocksPerSM,
 	}
+}
+
+// readTaskMap charges the d_task_map / d_blocks_map read every fused block
+// makes from global memory before dispatching.
+func readTaskMap(w *gpusim.BlockWork) {
+	w.DRAMBytes += 32
+	w.MemRequests++
+}
+
+// ifElseBranchCycles is a block's average branch-dispatch cost: with code
+// sharing the chain has one branch per unique schedule, and a block falls
+// through half of it on average.
+func ifElseBranchCycles(uniqueSchedules int) float64 {
+	return ifElseCyclesPerCompare * float64(uniqueSchedules) / 2
+}
+
+// FeatureBound returns a lower bound on the simulated Time of every fused
+// kernel Compile builds for one batch with Options{TargetBlocksPerSM: occ} in
+// which a feature of embedding dimension dim runs schedule s with plan p, its
+// plan for the batch, whatever the other features run, as long as the
+// kernel's block width (its widest schedule's) is s's own or an entry of
+// widths. The bound is the longest of p's blocks charged as buildKernel
+// charges it and drained alone at the device's rate ceilings
+// (gpusim.BlockBound): a kernel never ends before its longest block. The
+// charges that depend on the other features' schedules are taken at their
+// cheapest. The dispatch chain counts one schedule. The register cap follows
+// the block width, and the block is charged the spill of whichever possible
+// width drains it fastest: more spill can drain a block faster, because
+// spill arrives in 128 B requests and raises the latency cap of a block
+// whose requests average less.
+func FeatureBound(dev *gpusim.Device, dim int, s sched.Schedule, p *sched.Plan, occ int, widths []int) float64 {
+	r := s.Resources(dim)
+	spills := []int{spillAt(dev, r, occ, r.ThreadsPerBlock)}
+	for _, t := range widths {
+		if t > r.ThreadsPerBlock {
+			if sp := spillAt(dev, r, occ, t); !slices.Contains(spills, sp) {
+				spills = append(spills, sp)
+			}
+		}
+	}
+	branch := ifElseBranchCycles(1)
+	bound := 0.0
+	for i := range p.Blocks {
+		least := math.Inf(1)
+		for _, sp := range spills {
+			b := p.Blocks[i]
+			readTaskMap(&b)
+			b.CompCycles += branch
+			gpusim.ChargeSpill(dev, &b, sp)
+			least = min(least, gpusim.BlockBound(dev, &b))
+		}
+		bound = max(bound, least)
+	}
+	return bound
+}
+
+// spillAt is the spill Compile charges a schedule with resources r when the
+// fused kernel's blocks are threads wide and its occupancy is pinned to occ.
+func spillAt(dev *gpusim.Device, r gpusim.KernelResources, occ, threads int) int {
+	return max(0, r.RegsPerThread-gpusim.RegisterCap(dev, occ, threads))
 }
 
 // Simulate runs the fused kernel on the device.

@@ -112,10 +112,7 @@ func (r KernelResources) ControlOccupancy(d *Device, target int) (KernelResource
 	spilled := 0
 
 	// Cap registers so that `target` blocks fit in the register file.
-	regBudget := d.RegistersPerSM / (target * r.ThreadsPerBlock)
-	if regBudget < 1 {
-		regBudget = 1
-	}
+	regBudget := RegisterCap(d, target, r.ThreadsPerBlock)
 	if adjusted.RegsPerThread > regBudget {
 		spilled = adjusted.RegsPerThread - regBudget
 		adjusted.RegsPerThread = regBudget
@@ -144,6 +141,17 @@ func (r KernelResources) ControlOccupancy(d *Device, target int) (KernelResource
 		return r, 0, fmt.Errorf("gpusim: occupancy control failed: wanted %d blocks/SM, achieved %d", target, got)
 	}
 	return adjusted, spilled, nil
+}
+
+// RegisterCap is the per-thread register budget ControlOccupancy imposes to
+// fit blocksPerSM blocks of threadsPerBlock threads in one SM's register file:
+// the file's share per thread, and at least one register.
+func RegisterCap(d *Device, blocksPerSM, threadsPerBlock int) int {
+	regs := d.RegistersPerSM / (blocksPerSM * threadsPerBlock)
+	if regs < 1 {
+		regs = 1
+	}
+	return regs
 }
 
 // SpillBytesPerThread converts a per-thread spilled register count into the

@@ -95,6 +95,26 @@ type launchWork struct {
 	warps, capFactor float64
 }
 
+// launchOf derives block b's dispatch image on device d. A block whose
+// requests carry no bytes, or that counts no requests, gets the default 32 B
+// request size for its latency cap.
+func launchOf(d *Device, b *BlockWork) launchWork {
+	rq := 32.0
+	if b.MemRequests > 0 {
+		rq = (b.DRAMBytes + b.L2Bytes) / b.MemRequests
+		if rq <= 0 {
+			rq = 32.0
+		}
+	}
+	return launchWork{
+		comp:      b.CompCycles + d.BlockOverheadCycles,
+		dram:      b.DRAMBytes,
+		l2:        b.L2Bytes,
+		warps:     float64(b.Warps),
+		capFactor: float64(b.Warps) * rq,
+	}
+}
+
 // Simulator owns the reusable working set of the kernel simulation: the
 // resident-block scratch, the per-SM load tables and the result buffers.
 // After a warm-up run, a run allocates nothing in steady state, so tuners and
@@ -203,21 +223,8 @@ func (s *Simulator) Start(d *Device, k *Kernel) error {
 		}
 		s.tags = s.tags[:len(k.Blocks)]
 		for i := range k.Blocks {
-			b := &k.Blocks[i]
-			rq := 32.0
-			if b.MemRequests > 0 {
-				rq = (b.DRAMBytes + b.L2Bytes) / b.MemRequests
-				if rq <= 0 {
-					rq = 32.0
-				}
-			}
-			lw := &s.launch[i]
-			lw.comp = b.CompCycles + d.BlockOverheadCycles
-			lw.dram = b.DRAMBytes
-			lw.l2 = b.L2Bytes
-			lw.warps = float64(b.Warps)
-			lw.capFactor = float64(b.Warps) * rq
-			s.tags[i] = b.Tag
+			s.launch[i] = launchOf(d, &k.Blocks[i])
+			s.tags[i] = k.Blocks[i].Tag
 		}
 		s.lastDev, s.lastKernel, s.lastBlocks, s.lastNB = d, k, blocksID, len(k.Blocks)
 	}
@@ -560,6 +567,16 @@ func (s *Simulator) TagBounds(lower []float64, pending []int) {
 	for t := range lower {
 		lower[t] = s.res.TagTime[t] + lower[t]
 	}
+}
+
+// BlockBound returns the least time block b can spend resident in any kernel
+// on device d: its whole work, with the device's per-block overhead, drained
+// alone at the rate ceilings TagBounds uses. The block's simulated BlockTime
+// is never shorter, and neither is the Time of a kernel that contains it.
+func BlockBound(d *Device, b *BlockWork) float64 {
+	lw := launchOf(d, b)
+	c := newCeilings(d)
+	return c.drainBound(lw.comp, lw.dram, lw.l2, lw.warps, lw.capFactor)
 }
 
 // ceilings holds a device's per-block rate ceilings in the form drainBound

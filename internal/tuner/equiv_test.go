@@ -3,9 +3,11 @@ package tuner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gpusim"
+	"repro/internal/sched"
 )
 
 // resultsBitIdentical compares two tuning results field by field, requiring
@@ -45,6 +47,10 @@ func resultsBitIdentical(t *testing.T, label string, want, got *Result) {
 		if g.Abandoned != w.Abandoned {
 			t.Errorf("%s: trial %d abandoned %v, want %v", label, i, g.Abandoned, w.Abandoned)
 		}
+		if len(g.ChoiceIdx) != len(w.ChoiceIdx) {
+			t.Errorf("%s: trial %d has %d choices, want %d", label, i, len(g.ChoiceIdx), len(w.ChoiceIdx))
+			continue
+		}
 		for f := range w.ChoiceIdx {
 			if g.ChoiceIdx[f] != w.ChoiceIdx[f] {
 				t.Errorf("%s: trial %d feature %d choice %d, want %d", label, i, f, g.ChoiceIdx[f], w.ChoiceIdx[f])
@@ -53,13 +59,59 @@ func resultsBitIdentical(t *testing.T, label string, want, got *Result) {
 	}
 }
 
+// serialTrials derives the Result Tune must return from TuneSerial's, which
+// measures every occupancy: the same selection, and the PerOccupancy the
+// OccupancyResult contract gives when the sweep visits the occupancies in
+// order, the warm incumbent first. Walking that order, a trial whose latency
+// is at most the best latency before it stays complete; any other becomes
+// abandoned, with that best as its Latency and no choices.
+func serialTrials(t *testing.T, model *Model, serial *Result, occupancies []int, warm *Warm) *Result {
+	t.Helper()
+	byOcc := map[int]OccupancyResult{}
+	for _, po := range serial.PerOccupancy {
+		byOcc[po.BlocksPerSM] = po
+	}
+	order := append([]int(nil), occupancies...)
+	if warm != nil {
+		if i := slices.Index(order, warm.Occupancy); i >= 0 {
+			order = append(append([]int{warm.Occupancy}, order[:i]...), order[i+1:]...)
+		}
+	}
+	trials := map[int]OccupancyResult{}
+	best := math.Inf(1)
+	for _, occ := range order {
+		po, ok := byOcc[occ]
+		switch {
+		case !ok:
+		case po.Latency <= best:
+			best = po.Latency
+			trials[occ] = po
+		default:
+			trials[occ] = OccupancyResult{BlocksPerSM: occ, Latency: best, Abandoned: true}
+		}
+	}
+	res := &Result{}
+	for _, occ := range occupancies {
+		if po, ok := trials[occ]; ok {
+			res.PerOccupancy = append(res.PerOccupancy, po)
+		}
+	}
+	want, err := finishResult(model, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // TestParallelTuneBitIdenticalToSerial is the equivalence pin of the
 // fleet-speed engine: across seeded models and datasets, the parallel tuner
-// returns a bit-identical Result — Choices, ChoiceIdx, Occupancy, Latency and
-// PerOccupancy order — to the reference serial Tune, at any worker count,
-// with or without the shared memo cache. Without the memo the local stage
-// stops simulating once each feature's winner is proven (tuneFeatureBounded);
-// the runs must really stop early, with two and with three tuning batches.
+// selects exactly what the reference serial tuner selects — Choices,
+// ChoiceIdx, Occupancy and Latency bit for bit — at any worker count, with
+// or without the shared memo cache, and its PerOccupancy is exactly the
+// trial list serialTrials derives from the serial tuner's, abandoned trials
+// and their bounds included. Without the memo the local stage stops
+// simulating once each feature's winner is proven (tuneFeatureBounded); the
+// runs must really stop early, with two and with three tuning batches.
 func TestParallelTuneBitIdenticalToSerial(t *testing.T) {
 	dev := gpusim.V100()
 	cases := []struct {
@@ -70,11 +122,12 @@ func TestParallelTuneBitIdenticalToSerial(t *testing.T) {
 		seed := tc.seed
 		model, batches, _ := buildTuneModel(t, 2, tc.nbatches, 128, seed)
 		opts := Options{Occupancies: []int{1, 2, 4, 8}, Parallelism: 1}
-		want, err := TuneSerial(dev, model, batches, opts)
+		serial, err := TuneSerial(dev, model, batches, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 4} {
+		want := serialTrials(t, model, serial, opts.Occupancies, nil)
+		for _, par := range []int{1, 2, 8} {
 			o := opts
 			o.Parallelism = par
 			early := earlyStops.Load()
@@ -123,14 +176,21 @@ func labelSeedPar(kind string, seed int64, par int) string {
 }
 
 // TestWarmStartMatchesCold pins warm-started re-tunes: seeding the search
-// with the incumbent result must not change the selection — the winning
-// occupancy, choices and latency are bit-identical to a cold search — and
-// every abandoned trial's partial latency provably exceeds the winner's.
+// with the incumbent result only moves the incumbent occupancy to the front
+// of the sweep. The selection is the cold search's bit for bit, and
+// PerOccupancy is the trial list serialTrials derives for that order:
+// complete trials best first with their serial latencies, abandoned trials
+// after them, each with the best latency measured before it in the sweep as
+// a strict lower bound on its own.
 func TestWarmStartMatchesCold(t *testing.T) {
 	dev := gpusim.V100()
 	model, batches, _ := buildTuneModel(t, 2, 3, 128, 77)
 	opts := Options{Occupancies: []int{1, 2, 4, 8}, Parallelism: 4}
 	cold, err := Tune(dev, model, batches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := TuneSerial(dev, model, batches, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,39 +200,72 @@ func TestWarmStartMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Occupancy != cold.Occupancy {
-		t.Errorf("warm winner occupancy %d, want %d", warm.Occupancy, cold.Occupancy)
-	}
-	if math.Float64bits(warm.Latency) != math.Float64bits(cold.Latency) {
-		t.Errorf("warm winner latency %g, want %g exactly", warm.Latency, cold.Latency)
-	}
-	for f := range cold.ChoiceIdx {
-		if warm.ChoiceIdx[f] != cold.ChoiceIdx[f] {
-			t.Errorf("feature %d: warm choice %d, want %d", f, warm.ChoiceIdx[f], cold.ChoiceIdx[f])
-		}
+	resultsBitIdentical(t, "warm", serialTrials(t, model, serial, opts.Occupancies, o.Warm), warm)
+	if warm.Occupancy != cold.Occupancy || math.Float64bits(warm.Latency) != math.Float64bits(cold.Latency) {
+		t.Errorf("warm winner occupancy %d latency %g, want cold %d %g exactly",
+			warm.Occupancy, warm.Latency, cold.Occupancy, cold.Latency)
 	}
 	for _, po := range warm.PerOccupancy {
-		if po.Abandoned {
-			if po.Latency <= warm.Latency {
-				t.Errorf("abandoned occupancy %d has partial latency %g <= winner %g",
-					po.BlocksPerSM, po.Latency, warm.Latency)
-			}
-		} else if cpo := cpoFor(cold, po.BlocksPerSM); cpo != nil {
-			// Complete trials must match the cold run's measurement.
-			if math.Float64bits(po.Latency) != math.Float64bits(cpo.Latency) {
-				t.Errorf("occupancy %d: warm latency bits differ from cold", po.BlocksPerSM)
-			}
+		if !po.Abandoned {
+			continue
+		}
+		if spo := cpoFor(serial, po.BlocksPerSM); spo == nil || !(po.Latency < spo.Latency) || po.Latency < warm.Latency {
+			t.Errorf("abandoned occupancy %d: bound %g must lie in [winner %g, serial latency)",
+				po.BlocksPerSM, po.Latency, warm.Latency)
 		}
 	}
 
-	// An incumbent occupancy outside the sweep has nothing to measure first:
-	// the search runs cold and returns the cold result bit-identically.
+	// An incumbent occupancy outside the sweep changes nothing: the search
+	// runs cold and returns the cold result bit-identically.
 	o.Warm = &Warm{Occupancy: 3}
 	outside, err := Tune(dev, model, batches, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resultsBitIdentical(t, "warm-outside-sweep", cold, outside)
+}
+
+// TestFusedCompileFailureDropsOccupancy pins the one trial a fused compile
+// decides: on a device whose per-block shared memory is half the SM's, the
+// fused kernel at one block per SM cannot be padded down to that occupancy
+// once its blocks are narrower than the widest candidate, although every
+// feature's local-stage kernel can. TuneSerial then drops occupancy 1, and
+// Tune must drop it too — at any worker count and whichever occupancy the
+// sweep starts from — because its global stage starts only after every
+// occupancy before it in the sweep has settled (sweep.advance).
+func TestFusedCompileFailureDropsOccupancy(t *testing.T) {
+	dev := *gpusim.V100()
+	dev.SharedMemPerBlock = dev.SharedMemPerSM / 2
+	model, batches, _ := buildTuneModel(t, 1, 2, 128, 77)
+	for f := range model.Candidates {
+		var fit []sched.Schedule
+		for _, c := range model.Candidates[f] {
+			if c.Resources(model.Features[f].Dim).SharedMemPerBlock <= dev.SharedMemPerBlock {
+				fit = append(fit, c)
+			}
+		}
+		model.Candidates[f] = fit
+	}
+	opts := Options{Occupancies: []int{1, 2, 4, 8}}
+	serial, err := TuneSerial(&dev, model, batches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cpoFor(serial, 1) != nil || len(serial.PerOccupancy) != 3 {
+		t.Fatalf("serial trials %+v: want occupancy 1 dropped and the other three measured", serial.PerOccupancy)
+	}
+	for _, warm := range []*Warm{nil, {Occupancy: 2}, {Occupancy: 4}, {Occupancy: 8}} {
+		want := serialTrials(t, model, serial, opts.Occupancies, warm)
+		for _, par := range []int{1, 2, 8} {
+			o := opts
+			o.Warm, o.Parallelism = warm, par
+			got, err := Tune(&dev, model, batches, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsBitIdentical(t, fmt.Sprintf("warm=%v/par=%d", warm, par), want, got)
+		}
+	}
 }
 
 func cpoFor(res *Result, occ int) *OccupancyResult {

@@ -3,6 +3,7 @@ package tuner_test
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -17,56 +18,90 @@ import (
 // tuned over two batches at every derived occupancy.
 const goldenTuneScale = 200
 
-// tuneDigests pins Tune's results for Suite models A-E, captured before the
-// local stage learned to stop simulating once its winner is proven. The
-// digest covers ChoiceIdx, Occupancy and the bits of Latency, plus every
-// PerOccupancy trial's occupancy, choices, latency bits and abandoned flag.
-var tuneDigests = map[string]string{
-	"V100/A": "66f724769a76a704",
-	"V100/B": "b4f8aa34531f7c4b",
-	"V100/C": "917f75839e2d5d4c",
-	"V100/D": "c5e3a204cc5bce72",
-	"V100/E": "81efbede68479d05",
-	"A100/A": "df870207b23c06a0",
-	"A100/B": "11397be57e296f60",
-	"A100/C": "b8e507f953ead27b",
-	"A100/D": "fc406c272c0ef741",
-	"A100/E": "3e1982d1f987fe75",
+// selectionDigests pins Tune's selection for Suite models A-E: ChoiceIdx,
+// Occupancy and the bits of Latency. They were captured before the global
+// stage learned to abandon occupancies, when every trial was measured, and
+// must never change.
+var selectionDigests = map[string]string{
+	"V100/A": "d3fe20fd9cecaeca",
+	"V100/B": "d0b18d5f8906ee57",
+	"V100/C": "7729f24a4aade8ed",
+	"V100/D": "3979f927ced13a4e",
+	"V100/E": "de170ad6e0aabdad",
+	"A100/A": "3164c83758f75557",
+	"A100/B": "dfcc9b2e95780a4a",
+	"A100/C": "e60eb8915f60dceb",
+	"A100/D": "3391778a4ce4b47d",
+	"A100/E": "144fc987b3d129b9",
 }
 
-func resultDigest(r *tuner.Result) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+// trialDigests pins Tune's PerOccupancy for the same runs: every trial's
+// occupancy, choices, latency bits and abandoned flag, in order. They were
+// captured once the global stage abandoned every occupancy proven to lose.
+var trialDigests = map[string]string{
+	"V100/A": "b8550b89757eef1b",
+	"V100/B": "c8eb673c3645131a",
+	"V100/C": "0a045f466f3a477d",
+	"V100/D": "29b23ef6ba87dc8c",
+	"V100/E": "eeab1149c6676c72",
+	"A100/A": "257d22cf56e5f64a",
+	"A100/B": "a43c377601ceded7",
+	"A100/C": "58e07fcadc14b7a7",
+	"A100/D": "b95b84fce3a90f7d",
+	"A100/E": "0c56577dfd5809b4",
+}
+
+// digester hashes the fields of a tuning result into one 64-bit digest.
+type digester struct {
+	h   hash.Hash64
+	buf [8]byte
+}
+
+func newDigester() *digester { return &digester{h: fnv.New64a()} }
+
+func (d *digester) put(v uint64) {
+	binary.LittleEndian.PutUint64(d.buf[:], v)
+	d.h.Write(d.buf[:])
+}
+
+func (d *digester) putInts(xs []int) {
+	d.put(uint64(len(xs)))
+	for _, x := range xs {
+		d.put(uint64(x))
 	}
-	putInts := func(xs []int) {
-		put(uint64(len(xs)))
-		for _, x := range xs {
-			put(uint64(x))
-		}
-	}
-	putInts(r.ChoiceIdx)
-	put(uint64(r.Occupancy))
-	put(math.Float64bits(r.Latency))
-	put(uint64(len(r.PerOccupancy)))
+}
+
+func (d *digester) sum() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
+
+func selectionDigest(r *tuner.Result) string {
+	d := newDigester()
+	d.putInts(r.ChoiceIdx)
+	d.put(uint64(r.Occupancy))
+	d.put(math.Float64bits(r.Latency))
+	return d.sum()
+}
+
+func trialDigest(r *tuner.Result) string {
+	d := newDigester()
+	d.put(uint64(len(r.PerOccupancy)))
 	for _, po := range r.PerOccupancy {
-		put(uint64(po.BlocksPerSM))
-		putInts(po.ChoiceIdx)
-		put(math.Float64bits(po.Latency))
+		d.put(uint64(po.BlocksPerSM))
+		d.putInts(po.ChoiceIdx)
+		d.put(math.Float64bits(po.Latency))
 		if po.Abandoned {
-			put(1)
+			d.put(1)
 		} else {
-			put(0)
+			d.put(0)
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return d.sum()
 }
 
 // TestTuneMatchesGoldenDigests tunes Suite models A-E cold with the default
-// engine (no memo, no pruning, derived occupancies) on both evaluation
-// devices and compares each Result's digest with the pinned one.
+// engine (no memo, derived occupancies) on both evaluation devices, with one,
+// two and eight workers, and compares each Result's selection and trial
+// digests with the pinned ones: which occupancies a run abandons must not
+// depend on how many workers raced through the sweep.
 func TestTuneMatchesGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tunes ten models")
@@ -81,14 +116,19 @@ func TestTuneMatchesGoldenDigests(t *testing.T) {
 			}
 			batches, _ := suite.Split(ds)
 			model := tuner.DefaultModel(experiments.Features(cfg))
-			res, err := tuner.Tune(dev, model, batches, tuner.Options{Parallelism: 2})
-			if err != nil {
-				t.Fatalf("%s %s: %v", dev.Name, m.Name, err)
-			}
-			key := dev.Name + "/" + m.Name
-			if got, want := resultDigest(res), tuneDigests[key]; got != want {
-				t.Errorf("%s: digest %s, want %s (occupancy %d, choices %v, latency %x)",
-					key, got, want, res.Occupancy, res.ChoiceIdx, res.Latency)
+			for _, par := range []int{1, 2, 8} {
+				res, err := tuner.Tune(dev, model, batches, tuner.Options{Parallelism: par})
+				if err != nil {
+					t.Fatalf("%s %s: %v", dev.Name, m.Name, err)
+				}
+				key := fmt.Sprintf("%s/%s", dev.Name, m.Name)
+				if got, want := selectionDigest(res), selectionDigests[key]; got != want {
+					t.Errorf("%s par %d: selection digest %s, want %s (occupancy %d, choices %v, latency %x)",
+						key, par, got, want, res.Occupancy, res.ChoiceIdx, res.Latency)
+				}
+				if got, want := trialDigest(res), trialDigests[key]; got != want {
+					t.Errorf("%s par %d: trial digest %s, want %s (trials %+v)", key, par, got, want, res.PerOccupancy)
+				}
 			}
 		}
 	}

@@ -112,29 +112,62 @@ func newFeatureEnv(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int) 
 	return e, nil
 }
 
+// planSet is one feature's plans of one batch's workload: plans[ci] is
+// candidate ci's plan, nil when the candidate was not planned. When planning
+// failed, failed names the candidate that failed.
+type planSet struct {
+	plans  []*sched.Plan
+	failed int
+}
+
+// info summarizes the set for the memo (planInfo).
+func (ps *planSet) info() *planInfo {
+	in := &planInfo{runnable: make([]bool, len(ps.plans)), failed: ps.failed}
+	for ci, p := range ps.plans {
+		in.runnable[ci] = p != nil && p.NumBlocks > 0
+	}
+	return in
+}
+
+// planCandidates plans workload w under every candidate marked in want that
+// supports it; plans[ci] stays nil for the rest. On failure, the returned set
+// names the failed candidate.
+func planCandidates(dev *gpusim.Device, candidates []sched.Schedule, want []bool, w *sched.Workload, l2 sched.L2Context) (*planSet, error) {
+	ps := &planSet{plans: make([]*sched.Plan, len(candidates))}
+	for ci, c := range candidates {
+		if !want[ci] || !c.Supports(w) {
+			continue
+		}
+		p, err := c.Plan(w, dev, l2)
+		if err != nil {
+			ps.failed = ci
+			return ps, fmt.Errorf("planning %s: %w", c.Name(), err)
+		}
+		ps.plans[ci] = p
+	}
+	return ps, nil
+}
+
 // batchKernel builds the co-execution kernel of the feature's feasible
 // candidates for one batch under controlled occupancy, padded from the pool.
-// Each candidate's plan is stride-sampled down to at most
-// maxBlocksPerCandidate blocks: co-executing a representative subset keeps
-// the kernel small while the sum of block times stays an unbiased estimate of
-// Equation 3. Candidate ci's blocks carry tag ci and its register spill;
-// scale[ci] maps their sampled block-time sum back to the full plan (0 for a
-// candidate absent from the batch) and counted[ci] reports whether it ran. k
-// is nil when no candidate produced a runnable block, which rules the
-// occupancy out for this feature.
-func (e *featureEnv) batchKernel(dev *gpusim.Device, occ int, w *sched.Workload, l2 sched.L2Context,
-	pad []gpusim.BlockWork) (k *gpusim.Kernel, scale []float64, counted []bool, err error) {
+// plans[ci] is candidate ci's plan of the batch's workload, nil when the
+// candidate does not support it. Each candidate's plan is stride-sampled
+// down to at most maxBlocksPerCandidate blocks: co-executing a representative
+// subset keeps the kernel small while the sum of block times stays an
+// unbiased estimate of Equation 3. Candidate ci's blocks carry tag ci and its
+// register spill; scale[ci] maps their sampled block-time sum back to the
+// full plan (0 for a candidate absent from the batch) and counted[ci] reports
+// whether it ran. k is nil when no candidate produced a runnable block, which
+// rules the occupancy out for this feature.
+func (e *featureEnv) batchKernel(dev *gpusim.Device, occ int, plans []*sched.Plan,
+	pad []gpusim.BlockWork) (k *gpusim.Kernel, scale []float64, counted []bool) {
 
 	scale = make([]float64, len(e.candidates))
 	counted = make([]bool, len(e.candidates))
 	var blocks []gpusim.BlockWork
-	for ci, s := range e.candidates {
-		if !e.feasible[ci] || !s.Supports(w) {
+	for ci, p := range plans {
+		if !e.feasible[ci] || p == nil {
 			continue
-		}
-		p, err := s.Plan(w, dev, l2)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("planning %s: %w", s.Name(), err)
 		}
 		stride := 1
 		if p.NumBlocks > maxBlocksPerCandidate {
@@ -152,7 +185,7 @@ func (e *featureEnv) batchKernel(dev *gpusim.Device, occ int, w *sched.Workload,
 		counted[ci] = true
 	}
 	if len(blocks) == 0 {
-		return nil, scale, counted, nil
+		return nil, scale, counted
 	}
 	// Pad with redundant embedding operations drawn from the model's full
 	// workload mix so the SMs are full and grid-level memory pressure
@@ -167,20 +200,18 @@ func (e *featureEnv) batchKernel(dev *gpusim.Device, occ int, w *sched.Workload,
 		Blocks:              blocks,
 		BlocksPerSMOverride: occ,
 	}
-	return k, scale, counted, nil
+	return k, scale, counted
 }
 
 // scoreFeatureBatch co-executes the feasible candidates of one feature for
-// one batch and returns the per-candidate score contributions of this batch
-// (Equation 3 terms, scaled back to the full plan). The returned localScore
-// is safe to memoize: it depends only on the simulated inputs.
-func scoreFeatureBatch(dev *gpusim.Device, e *featureEnv, occ int, w *sched.Workload,
-	l2 sched.L2Context, pad []gpusim.BlockWork, sim *gpusim.Simulator) (*localScore, error) {
+// one batch, given their plans of its workload, and returns the
+// per-candidate score contributions of this batch (Equation 3 terms, scaled
+// back to the full plan). The returned localScore is safe to memoize: it
+// depends only on the simulated inputs.
+func scoreFeatureBatch(dev *gpusim.Device, e *featureEnv, occ int, plans []*sched.Plan,
+	pad []gpusim.BlockWork, sim *gpusim.Simulator) (*localScore, error) {
 
-	k, scale, counted, err := e.batchKernel(dev, occ, w, l2, pad)
-	if err != nil {
-		return nil, err
-	}
+	k, scale, counted := e.batchKernel(dev, occ, plans, pad)
 	ls := &localScore{contrib: make([]float64, len(e.candidates)), counted: counted}
 	if k == nil {
 		ls.empty = true
@@ -197,42 +228,43 @@ func scoreFeatureBatch(dev *gpusim.Device, e *featureEnv, occ int, w *sched.Work
 }
 
 // tuneFeature runs the interference-simulated per-feature tuning of the
-// local stage (the paper's Figure 7): all candidates of feature f are
-// co-executed in one kernel under explicitly controlled occupancy, the grid
-// is padded with redundant embedding blocks to fill the SMs, and the
-// candidate with the lowest summed block time across the historical batches
-// wins. Every simulation runs to completion. When memo is non-nil, per-batch
-// simulations are served from the cache; hits return the exact values a
-// fresh simulation would produce.
+// local stage (the paper's Figure 7) the way TuneSerial does: all candidates
+// of feature f are co-executed in one kernel under explicitly controlled
+// occupancy, the grid is padded with redundant embedding blocks to fill the
+// SMs, and the candidate with the lowest summed block time across the
+// historical batches wins. Every candidate is planned for this occupancy
+// alone and every simulation runs to completion.
 func tuneFeature(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int,
-	ws [][]sched.Workload, l2 []sched.L2Context, pool [][]gpusim.BlockWork,
-	memo *Memo, fps *fingerprints) (int, error) {
+	ws [][]sched.Workload, l2 []sched.L2Context, pool [][]gpusim.BlockWork) (int, error) {
 
 	env, err := newFeatureEnv(dev, model, f, occ, warpsPerBlock)
 	if err != nil {
 		return 0, err
 	}
-
-	scores := make([]float64, len(env.candidates))
-	counted := make([]bool, len(env.candidates))
-
 	// One reused simulator across the tuning batches: each iteration only
 	// reads TagTime before the next Run overwrites the result.
 	sim := gpusim.NewSimulator()
-	for bi := range ws {
-		compute := func() (any, error) {
-			return scoreFeatureBatch(dev, env, occ, &ws[bi][f], l2[bi], pool[bi], sim)
+	return env.exhaustive(len(ws), func(bi int) (*localScore, error) {
+		ps, err := planCandidates(dev, env.candidates, env.feasible, &ws[bi][f], l2[bi])
+		if err != nil {
+			return nil, err
 		}
-		var v any
-		if memo != nil {
-			v, err = memo.do(fps.localKey(occ, warpsPerBlock, f, bi), compute)
-		} else {
-			v, err = compute()
-		}
+		return scoreFeatureBatch(dev, env, occ, ps.plans, pool[bi], sim)
+	})
+}
+
+// exhaustive sums the per-batch scores that score returns for batches
+// 0..batches-1, in batch order, and returns the counted candidate with the
+// lowest sum (argminCounted). A batch in which no candidate ran rules the
+// occupancy out for the feature.
+func (e *featureEnv) exhaustive(batches int, score func(bi int) (*localScore, error)) (int, error) {
+	scores := make([]float64, len(e.candidates))
+	counted := make([]bool, len(e.candidates))
+	for bi := 0; bi < batches; bi++ {
+		ls, err := score(bi)
 		if err != nil {
 			return 0, err
 		}
-		ls := v.(*localScore)
 		if ls.empty {
 			return 0, errInfeasible
 		}
@@ -274,9 +306,10 @@ const (
 // their simulations finished.
 var earlyStops atomic.Int64
 
-// tuneFeatureBounded selects the same candidate as tuneFeature without a
-// memo, but stops simulating once the winner is provable. It starts one
-// simulation per tuning batch and steps them in lockstep, always advancing
+// tuneFeatureBounded selects the same candidate as tuneFeature, from the
+// plans of the feature's workload in every batch (plans[bi][ci]), but stops
+// simulating once the winner is provable. It starts one simulation per
+// tuning batch and steps them in lockstep, always advancing
 // the one furthest behind in simulated time (ties to the lower batch). Every
 // boundInterval steps it collects each batch's gpusim TagBounds and stops
 // when a candidate whose blocks have all retired — so its score is exact —
@@ -286,21 +319,15 @@ var earlyStops atomic.Int64
 // decides, ties to the lower index as in tuneFeature.
 //
 // The scores of a stopped job are incomplete, so the memo path, which
-// stores per-batch scores for later re-tunes, keeps tuneFeature.
-func tuneFeatureBounded(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int,
-	ws [][]sched.Workload, l2 []sched.L2Context, pool [][]gpusim.BlockWork) (int, error) {
+// stores per-batch scores for later re-tunes, runs every simulation to the
+// end (featureEnv.exhaustive).
+func tuneFeatureBounded(dev *gpusim.Device, env *featureEnv, occ int, plans [][]*sched.Plan,
+	pool [][]gpusim.BlockWork) (int, error) {
 
-	env, err := newFeatureEnv(dev, model, f, occ, warpsPerBlock)
-	if err != nil {
-		return 0, err
-	}
-	lb := newLocalBounds(len(ws), len(env.candidates))
-	sims := make([]*gpusim.Simulator, len(ws))
-	for bi := range ws {
-		k, scale, counted, err := env.batchKernel(dev, occ, &ws[bi][f], l2[bi], pool[bi])
-		if err != nil {
-			return 0, err
-		}
+	lb := newLocalBounds(len(plans), len(env.candidates))
+	sims := make([]*gpusim.Simulator, len(plans))
+	for bi := range plans {
+		k, scale, counted := env.batchKernel(dev, occ, plans[bi], pool[bi])
 		if k == nil {
 			return 0, errInfeasible
 		}

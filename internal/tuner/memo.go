@@ -20,7 +20,10 @@ import (
 // bit-identical. Entries are computed once (singleflight): a second goroutine
 // asking for an in-flight key blocks until the first finishes and then shares
 // its result, so concurrent re-tunes never duplicate work and never observe a
-// torn entry.
+// torn entry. Beside the simulations it keeps what a re-tune reads of the
+// plans — which candidates can run, and the chosen schedules' bounds — so a
+// re-tune whose simulations all hit plans nothing; the plans themselves are
+// not kept.
 //
 // The cache grows without bound; it is meant to be scoped to a serving
 // lifetime (one fleet, successive re-tunes) where repeated window batches make
@@ -107,6 +110,14 @@ type localScore struct {
 	// empty marks a batch in which no candidate produced a runnable block,
 	// which rules the occupancy out for this feature.
 	empty bool
+}
+
+// planInfo is the memoized part of planning one feature's workload in one
+// batch: runnable[ci] reports whether candidate ci's plan has a block to run
+// and, when planning failed, failed names the candidate that failed.
+type planInfo struct {
+	runnable []bool
+	failed   int
 }
 
 // globalScore is the memoized outcome of one global-stage (occupancy, batch)
@@ -215,6 +226,26 @@ func newFingerprints(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2
 // therefore their simulations — are identical.
 func (fp *fingerprints) localKey(occ, warps, f, bi int) string {
 	return fmt.Sprintf("L|%d|%d|%s%s%s%s", occ, warps, fp.dev, fp.feature[f], fp.workload[bi][f], fp.batch[bi])
+}
+
+// planKey keys the planInfo of feature f's workload in batch bi under the
+// candidates marked in want.
+func (fp *fingerprints) planKey(f, bi int, want []bool) string {
+	p := newFP()
+	for _, w := range want {
+		if w {
+			p.i64(1)
+		} else {
+			p.i64(0)
+		}
+	}
+	return fmt.Sprintf("P|%s%s%s%s%s", fp.dev, fp.feature[f], fp.workload[bi][f], fp.batch[bi], p.sum())
+}
+
+// boundKey keys the fused-kernel bound (fusion.FeatureBound) of candidate ci
+// of feature f in batch bi at occupancy occ.
+func (fp *fingerprints) boundKey(occ, f, bi, ci int) string {
+	return fmt.Sprintf("B|%d|%d|%s%s%s%s", occ, ci, fp.dev, fp.feature[f], fp.workload[bi][f], fp.batch[bi])
 }
 
 // globalKey keys one global-stage fused measurement of the given choice

@@ -17,14 +17,17 @@
 // Complexity is O(F·K + K) kernel compilations, the paper's polynomial bound.
 //
 // Two engines implement the search. Tune (parallel.go) is the production
-// engine: it runs both stages on a shared worker pool with deterministic
-// error selection, stops each feature's local-stage simulations once the
-// winner is proven (local.go), and optionally warm-starts from an incumbent
-// result (Options.Warm) and serves repeated simulations from a shared cache
-// (Options.Memo). Neither changes the selection, and without Warm, Tune
-// returns a bit-identical Result to TuneSerial — the frozen reference engine,
-// which runs every simulation to completion, kept as the equivalence oracle
-// and benchmark baseline (see the equivalence property tests).
+// engine, an exact branch-and-bound: it sweeps the occupancies in order on a
+// shared worker pool, stops each
+// feature's local-stage simulations once the winner is proven (local.go),
+// and stops tuning and measuring an occupancy once a sound lower bound on
+// its fused latency proves that an occupancy earlier in the sweep beats it.
+// Options.Warm puts an incumbent occupancy first in the sweep, and
+// Options.Memo serves repeated simulations from a shared cache. Tune selects
+// bit-identically to TuneSerial — the frozen reference engine, which runs
+// every simulation to completion, kept as the equivalence oracle and
+// benchmark baseline — and reports the occupancies it proved to lose as
+// abandoned trials (see OccupancyResult and the equivalence property tests).
 //
 // The straw-man separate-combine tuner of §II-C (tune each feature's latency
 // in isolation, no padding, no occupancy control) lives in separate.go and
@@ -99,11 +102,11 @@ func AutoModel(dev *gpusim.Device, features []fusion.FeatureInfo, sample *embedd
 }
 
 // Warm seeds a re-tune from an incumbent tuning result (typically the
-// outgoing generation of a continuous-serving hot swap). The parallel engine
-// measures the incumbent occupancy first in the global stage, so every other
-// occupancy can stop measuring as soon as its partial latency sum proves it
-// cannot beat the incumbent. An incumbent occupancy outside the sweep leaves
-// nothing to measure first, and the search runs cold.
+// outgoing generation of a continuous-serving hot swap). Tune sweeps the
+// incumbent occupancy first, so its fused latency bounds every other
+// occupancy from the start and a losing one is abandoned early. Warm sets
+// only the sweep order: the selection is the cold search's. An incumbent
+// occupancy outside the sweep changes nothing, and the search runs cold.
 type Warm struct {
 	// Occupancy is the incumbent blocks-per-SM value.
 	Occupancy int
@@ -144,8 +147,8 @@ type Options struct {
 	// (default GOMAXPROCS).
 	Parallelism int
 
-	// Warm seeds the search from an incumbent result; see Warm. Nil means
-	// a cold search. Ignored by TuneSerial.
+	// Warm puts an incumbent's occupancy first in the sweep; see Warm.
+	// Nil means a cold search. Ignored by TuneSerial.
 	Warm *Warm
 
 	// Memo, when non-nil, serves repeated local- and global-stage
@@ -171,16 +174,29 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// OccupancyResult records the outcome of one global-stage trial.
+// OccupancyResult records the outcome of one occupancy's trial.
+//
+// Tune sweeps the occupancies in order, the Options.Warm incumbent first. A
+// trial whose fused latency is at most the best latency of any trial before
+// it in the sweep is complete: ChoiceIdx and Latency are exactly the ones
+// TuneSerial measures. Every other trial is abandoned: Tune proved, possibly
+// before finishing its local stage, that its latency exceeds that best, and
+// reports the best as Latency with no ChoiceIdx. Which trials are abandoned
+// depends only on the latencies and the sweep order, never on which jobs
+// ran, so it is the same for any Parallelism. TuneSerial measures every
+// trial and abandons none.
+//
+// An occupancy whose fused kernel fails to compile has no trial, in either
+// engine. Tune learns of the failure only if the occupancy's global stage
+// starts: one that the bound proves to lose first is reported abandoned.
+// Whether the global stage starts depends only on the latencies and the
+// sweep order too.
 type OccupancyResult struct {
 	BlocksPerSM int
-	ChoiceIdx   []int
+	ChoiceIdx   []int   // local-stage winners; nil for an abandoned trial
 	Latency     float64 // summed fused latency over tuning batches, seconds
-	// Abandoned marks a warm-started trial that stopped measuring early:
-	// its partial latency sum already exceeded the incumbent's complete
-	// latency, so the occupancy cannot win and Latency holds the partial
-	// sum (a lower bound on the true value). Always false without
-	// Options.Warm. Abandoned trials sort after complete ones.
+	// Abandoned marks a trial proven to lose: Latency is then a strict
+	// lower bound on its fused latency, not a measurement.
 	Abandoned bool
 }
 
@@ -195,7 +211,8 @@ type Result struct {
 	// Latency is the fused-kernel latency sum over the tuning batches at
 	// the selected occupancy.
 	Latency float64
-	// PerOccupancy holds every global-stage trial, best first.
+	// PerOccupancy holds one trial per feasible occupancy: complete trials
+	// best first, then abandoned trials by bound (see OccupancyResult).
 	PerOccupancy []OccupancyResult
 }
 
@@ -222,9 +239,10 @@ func analyzeBatches(dev *gpusim.Device, model *Model, batches []*embedding.Batch
 // the historical batches (Equation 5: the winner minimizes summed time over
 // sampled data). It is the pre-fleet-speed engine, kept verbatim in behavior:
 // exhaustive local stage, one occupancy at a time in the global stage, and
-// neither fleet-speed option (Warm, Memo) honored. Tune is pinned
-// bit-identical to this function by the equivalence property tests, which is
-// what licenses the fast path.
+// neither fleet-speed option (Warm, Memo) honored. The equivalence property
+// tests pin Tune to this function — the same selection bit for bit, and the
+// trial list that OccupancyResult derives from this one's — which is what
+// licenses the fast path.
 func TuneSerial(dev *gpusim.Device, model *Model, batches []*embedding.Batch, opts Options) (*Result, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -269,7 +287,7 @@ func TuneSerial(dev *gpusim.Device, model *Model, batches []*embedding.Batch, op
 	nf := len(model.Features)
 	err = runJobs(len(occupancies)*nf, o.Parallelism, func(i int) error {
 		k, f := i/nf, i%nf
-		idx, err := tuneFeature(dev, model, f, occupancies[k], warpsPerBlock, ws, l2, pool, nil, nil)
+		idx, err := tuneFeature(dev, model, f, occupancies[k], warpsPerBlock, ws, l2, pool)
 		switch {
 		case errors.Is(err, errInfeasible):
 			// A feature that cannot meet this occupancy rules the
@@ -321,15 +339,15 @@ func TuneSerial(dev *gpusim.Device, model *Model, batches []*embedding.Batch, op
 	return finishResult(model, res)
 }
 
-// finishResult orders the global-stage trials (complete trials first, then by
-// latency) and adopts the winner. Abandoned trials carry partial latency
-// sums that already exceed the incumbent's complete latency, so they can
-// never win; sorting them last keeps PerOccupancy readable.
+// finishResult orders the trials (complete trials first, then by latency,
+// ties in input order) and adopts the winner. Abandoned trials are proven to
+// lose, so they can never win; sorting them last keeps PerOccupancy
+// readable.
 func finishResult(model *Model, res *Result) (*Result, error) {
 	if len(res.PerOccupancy) == 0 {
 		return nil, fmt.Errorf("tuner: no feasible occupancy value")
 	}
-	sort.Slice(res.PerOccupancy, func(i, j int) bool {
+	sort.SliceStable(res.PerOccupancy, func(i, j int) bool {
 		a, b := &res.PerOccupancy[i], &res.PerOccupancy[j]
 		if a.Abandoned != b.Abandoned {
 			return !a.Abandoned

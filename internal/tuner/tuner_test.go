@@ -95,9 +95,18 @@ func TestTuneProducesValidResult(t *testing.T) {
 	if res.Latency <= 0 {
 		t.Error("latency must be positive")
 	}
-	for i := 1; i < len(res.PerOccupancy); i++ {
-		if res.PerOccupancy[i].Latency < res.PerOccupancy[i-1].Latency {
-			t.Error("PerOccupancy not sorted best-first")
+	// Complete trials come best first, abandoned trials after them, each
+	// with a bound no lower than the winner's latency.
+	for i, po := range res.PerOccupancy {
+		switch {
+		case po.Abandoned:
+			if po.Latency < res.Latency {
+				t.Errorf("abandoned occupancy %d has bound %g below the winner's %g", po.BlocksPerSM, po.Latency, res.Latency)
+			}
+		case i > 0 && res.PerOccupancy[i-1].Abandoned:
+			t.Errorf("complete occupancy %d sorted after an abandoned trial", po.BlocksPerSM)
+		case i > 0 && po.Latency < res.PerOccupancy[i-1].Latency:
+			t.Error("complete trials not sorted best-first")
 		}
 	}
 	// The whole point: heterogeneous features get heterogeneous schedules.
