@@ -82,6 +82,11 @@ func run(args []string, w io.Writer) error {
 	if *perfRegress < 0 {
 		return fmt.Errorf("-perf-regress must be >= 0, got %g", *perfRegress)
 	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := rejectDeadFlags(set, *perfOut != "", *paper); err != nil {
+		return err
+	}
 
 	if *perfOut != "" {
 		return runPerf(*perfOut, *perfBase, *perfNote, *perfCount, *perfRegress)
@@ -149,6 +154,36 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\nall experiments done in %v (scale=%d, eval batches=%d)\n",
 		time.Since(start).Round(time.Millisecond), s.Cfg.Scale, s.Cfg.EvalBatches)
+	return nil
+}
+
+// rejectDeadFlags rejects flags the run would silently ignore — dead
+// configuration that reads like it took effect. perf and paper report
+// whether -perf and -paper are on.
+func rejectDeadFlags(set map[string]bool, perf, paper bool) error {
+	if perf {
+		for _, f := range []string{"exp", "scale", "tune", "eval", "workers", "paper", "csv"} {
+			if set[f] {
+				return fmt.Errorf("-%s shapes the paper experiments, which -perf skips; drop -%s or -perf", f, f)
+			}
+		}
+	} else {
+		for _, f := range []string{"perf-baseline", "perf-count", "perf-regress", "perf-note"} {
+			if set[f] {
+				return fmt.Errorf("-%s shapes the hot-path suite that -perf runs; pass -perf", f)
+			}
+		}
+	}
+	if paper {
+		for _, f := range []string{"scale", "tune", "eval"} {
+			if set[f] {
+				return fmt.Errorf("-paper sets the full paper-scale configuration, which overrides -%s; drop one of them", f)
+			}
+		}
+	}
+	if set["perf-regress"] && !set["perf-baseline"] {
+		return fmt.Errorf("-perf-regress gates against the baseline that -perf-baseline loads; pass -perf-baseline")
+	}
 	return nil
 }
 

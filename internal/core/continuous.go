@@ -61,10 +61,12 @@ type ContinuousOptions struct {
 	// memoization; nil means time-invariant.
 	PhaseOf func(t float64) float64
 	// Tune configures each background re-tune's schedule search. Setting
-	// Tune.Memo to a shared tuner.NewMemo() carries simulation results
-	// across generations (and across models, when several serving loops
-	// share one cache): a re-tune after a partial drift re-simulates only
-	// what actually changed.
+	// Tune.Memo to a shared tuner.NewMemo() carries tuning results across
+	// generations (and across models, when several serving loops share one
+	// cache): a re-tune over the same window reuses every decision and
+	// simulation. A local-stage decision covers the whole window, so after
+	// a partial drift only the unchanged batches' plan summaries and fused
+	// simulations are reused.
 	Tune tuner.Options
 	// RetuneBatches caps the distinct window batches a re-tune samples
 	// (most recent first); 0 means 4.

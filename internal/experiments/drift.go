@@ -66,8 +66,9 @@ type DriftResult struct {
 	// abandon early) against a still-cold shared memo.
 	RetuneWallWarm float64
 	// RetuneWallFleet is the second replica's re-tune over the shared drift
-	// profile window: every candidate simulation hits the memo the first
-	// replica populated, so the drift-detect→hot-swap wall time collapses.
+	// profile window: every local-stage decision and fused simulation hits
+	// the memo the first replica populated, so the drift-detect→hot-swap
+	// wall time collapses.
 	// This is the steady-state per-replica cost of rolling a re-tune across
 	// a fleet.
 	RetuneWallFleet float64

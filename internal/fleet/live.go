@@ -732,44 +732,7 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 			sp.end = end
 		}
 		if sp.remaining == 0 {
-			soj := sp.end - sp.arrival
-			l.sojourn[e.id] = soj
-			l.outcome[e.id] = OutcomeSplit
-			l.dispatch[e.id] = sp.firstDisp
-			l.worker[e.id] = sp.worker
-			l.service[e.id] = sp.service
-			met.Served++
-			met.SplitServed++
-			met.Latency.Observe(soj)
-			mm, tt := &met.Models[e.model], &met.Tenants[e.tenant]
-			mm.Served++
-			mm.SplitServed++
-			mm.Latency.Observe(soj)
-			tt.Served++
-			tt.SplitServed++
-			tt.Latency.Observe(soj)
-			l.modelSojourns[e.model] = append(l.modelSojourns[e.model], soj)
-			l.tenantSojourns[e.tenant] = append(l.tenantSojourns[e.tenant], soj)
-			if sp.end > e.deadline {
-				met.Timeouts++
-				mm.Timeouts++
-				tt.Timeouts++
-			}
-			if sp.end > l.lastEnd {
-				l.lastEnd = sp.end
-			}
-			l.serviceByModel[e.model] += sp.service
-			if sp.end > l.lastEndByModel[e.model] {
-				l.lastEndByModel[e.model] = sp.end
-			}
-			if l.lcs[e.model] != nil {
-				l.lcs[e.model].Observe(sp.size, e.gen, sp.end, soj)
-			}
-			l.events = append(l.events, Event{
-				ID: e.id, Outcome: OutcomeSplit, Generation: e.gen,
-				Sojourn: soj, Dispatch: sp.firstDisp, Service: sp.service,
-				Worker: sp.worker, End: sp.end,
-			})
+			l.complete(&e, OutcomeSplit, sp.size, sp.arrival, sp.firstDisp, sp.service, sp.worker, sp.end)
 			delete(l.splits, e.id)
 		}
 		return nil
@@ -839,41 +802,59 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 	l.st.busy[bestW] += sv
 	l.st.served[bestW]++
 	l.workByModel[e.model] += sv
+	l.complete(&e, OutcomeServed, e.size, e.arrival, tDisp, sv, bestW, end)
+	return nil
+}
+
+// complete books admission e's completion: a whole request served, or a
+// split request whose last chunk ended (outcome OutcomeSplit). size is the
+// full request size and arrival the original arrival; dispatch, service and
+// w are the request's (a split's first dispatch, summed service and last
+// chunk's worker), and end is when it finished.
+func (l *Live) complete(e *qentry, outcome Outcome, size int, arrival, dispatch, service float64, w int, end float64) {
+	met := l.met
+	soj := end - arrival
+	l.sojourn[e.id] = soj
+	l.outcome[e.id] = outcome
+	l.dispatch[e.id] = dispatch
+	l.worker[e.id] = w
+	l.service[e.id] = service
+	split := 0
+	if outcome == OutcomeSplit {
+		split = 1
+	}
+	late := end > e.deadline
+	met.Served++
+	met.SplitServed += split
+	met.Latency.Observe(soj)
+	if late {
+		met.Timeouts++
+	}
+	for _, g := range [...]*GroupMetrics{&met.Models[e.model], &met.Tenants[e.tenant]} {
+		g.Served++
+		g.SplitServed += split
+		g.Latency.Observe(soj)
+		if late {
+			g.Timeouts++
+		}
+	}
+	l.modelSojourns[e.model] = append(l.modelSojourns[e.model], soj)
+	l.tenantSojourns[e.tenant] = append(l.tenantSojourns[e.tenant], soj)
 	if end > l.lastEnd {
 		l.lastEnd = end
 	}
-	l.serviceByModel[e.model] += sv
+	l.serviceByModel[e.model] += service
 	if end > l.lastEndByModel[e.model] {
 		l.lastEndByModel[e.model] = end
 	}
-	soj := end - e.arrival
-	l.sojourn[e.id] = soj
-	l.outcome[e.id] = OutcomeServed
-	l.dispatch[e.id] = tDisp
-	l.worker[e.id] = bestW
-	l.service[e.id] = sv
-	met.Served++
-	met.Latency.Observe(soj)
-	met.Models[e.model].Served++
-	met.Models[e.model].Latency.Observe(soj)
-	met.Tenants[e.tenant].Served++
-	met.Tenants[e.tenant].Latency.Observe(soj)
-	l.modelSojourns[e.model] = append(l.modelSojourns[e.model], soj)
-	l.tenantSojourns[e.tenant] = append(l.tenantSojourns[e.tenant], soj)
-	if end > e.deadline {
-		met.Timeouts++
-		met.Models[e.model].Timeouts++
-		met.Tenants[e.tenant].Timeouts++
-	}
 	if l.lcs[e.model] != nil {
-		l.lcs[e.model].Observe(e.size, e.gen, end, soj)
+		l.lcs[e.model].Observe(size, e.gen, end, soj)
 	}
 	l.events = append(l.events, Event{
-		ID: e.id, Outcome: OutcomeServed, Generation: e.gen,
-		Sojourn: soj, Dispatch: tDisp, Service: sv,
-		Worker: bestW, End: end,
+		ID: e.id, Outcome: outcome, Generation: e.gen,
+		Sojourn: soj, Dispatch: dispatch, Service: service,
+		Worker: w, End: end,
 	})
-	return nil
 }
 
 // hasUrgentWhole reports whether a whole queued request with strictly higher

@@ -3,9 +3,12 @@ package tuner
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/datasynth"
+	"repro/internal/embedding"
 	"repro/internal/gpusim"
 	"repro/internal/sched"
 )
@@ -173,6 +176,55 @@ func TestParallelTuneBitIdenticalToSerial(t *testing.T) {
 
 func labelSeedPar(kind string, seed int64, par int) string {
 	return fmt.Sprintf("%s/seed=%d/par=%d", kind, seed, par)
+}
+
+// TestMemoDecisionKeyCoversEveryBatch pins the memo's decision key: a
+// feature's local-stage decision depends on every tuning batch, so a tune of
+// {b0, b2} on a memo that a tune of {b0, b1} populated must select exactly
+// what TuneSerial selects for {b0, b2}, although both share b0. The batches
+// differ in size, so the two sets lead features to different decisions. A
+// repeat of the second tune at one worker runs no job the first did not, so
+// the memo must serve all of it.
+func TestMemoDecisionKeyCoversEveryBatch(t *testing.T) {
+	dev := gpusim.V100()
+	model, first, cfg := buildTuneModel(t, 2, 1, 64, 77)
+	rng := rand.New(rand.NewSource(cfg.Seed + 1))
+	var more []*embedding.Batch
+	for _, size := range []int{512, 32} {
+		b, err := datasynth.GenerateBatch(cfg, size, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		more = append(more, b)
+	}
+	b0, b1, b2 := first[0], more[0], more[1]
+
+	opts := Options{Occupancies: []int{1, 2, 4, 8}, Parallelism: 2, Memo: NewMemo()}
+	if _, err := Tune(dev, model, []*embedding.Batch{b0, b1}, opts); err != nil {
+		t.Fatal(err)
+	}
+	batches := []*embedding.Batch{b0, b2}
+	serial, err := TuneSerial(dev, model, batches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialTrials(t, model, serial, opts.Occupancies, nil)
+	got, err := Tune(dev, model, batches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsBitIdentical(t, "b0+b2 after b0+b1", want, got)
+
+	opts.Parallelism = 1
+	_, before := opts.Memo.Stats()
+	again, err := Tune(dev, model, batches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsBitIdentical(t, "b0+b2 repeated", want, again)
+	if _, after := opts.Memo.Stats(); after != before {
+		t.Errorf("repeated tune missed the memo %d times, want 0", after-before)
+	}
 }
 
 // TestWarmStartMatchesCold pins warm-started re-tunes: seeding the search

@@ -203,37 +203,14 @@ func (e *featureEnv) batchKernel(dev *gpusim.Device, occ int, plans []*sched.Pla
 	return k, scale, counted
 }
 
-// scoreFeatureBatch co-executes the feasible candidates of one feature for
-// one batch, given their plans of its workload, and returns the
-// per-candidate score contributions of this batch (Equation 3 terms, scaled
-// back to the full plan). The returned localScore is safe to memoize: it
-// depends only on the simulated inputs.
-func scoreFeatureBatch(dev *gpusim.Device, e *featureEnv, occ int, plans []*sched.Plan,
-	pad []gpusim.BlockWork, sim *gpusim.Simulator) (*localScore, error) {
-
-	k, scale, counted := e.batchKernel(dev, occ, plans, pad)
-	ls := &localScore{contrib: make([]float64, len(e.candidates)), counted: counted}
-	if k == nil {
-		ls.empty = true
-		return ls, nil
-	}
-	r, err := sim.Run(dev, k)
-	if err != nil {
-		return nil, err
-	}
-	for ci := range e.candidates {
-		ls.contrib[ci] = r.TagTime[ci] * scale[ci]
-	}
-	return ls, nil
-}
-
 // tuneFeature runs the interference-simulated per-feature tuning of the
 // local stage (the paper's Figure 7) the way TuneSerial does: all candidates
 // of feature f are co-executed in one kernel under explicitly controlled
 // occupancy, the grid is padded with redundant embedding blocks to fill the
 // SMs, and the candidate with the lowest summed block time across the
-// historical batches wins. Every candidate is planned for this occupancy
-// alone and every simulation runs to completion.
+// historical batches wins (argminCounted). Every candidate is planned for
+// this occupancy alone and every simulation runs to completion. A batch in
+// which no candidate ran rules the occupancy out for the feature.
 func tuneFeature(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int,
 	ws [][]sched.Workload, l2 []sched.L2Context, pool [][]gpusim.BlockWork) (int, error) {
 
@@ -244,33 +221,28 @@ func tuneFeature(dev *gpusim.Device, model *Model, f, occ, warpsPerBlock int,
 	// One reused simulator across the tuning batches: each iteration only
 	// reads TagTime before the next Run overwrites the result.
 	sim := gpusim.NewSimulator()
-	return env.exhaustive(len(ws), func(bi int) (*localScore, error) {
+	scores := make([]float64, len(env.candidates))
+	counted := make([]bool, len(env.candidates))
+	for bi := range ws {
 		ps, err := planCandidates(dev, env.candidates, env.feasible, &ws[bi][f], l2[bi])
-		if err != nil {
-			return nil, err
-		}
-		return scoreFeatureBatch(dev, env, occ, ps.plans, pool[bi], sim)
-	})
-}
-
-// exhaustive sums the per-batch scores that score returns for batches
-// 0..batches-1, in batch order, and returns the counted candidate with the
-// lowest sum (argminCounted). A batch in which no candidate ran rules the
-// occupancy out for the feature.
-func (e *featureEnv) exhaustive(batches int, score func(bi int) (*localScore, error)) (int, error) {
-	scores := make([]float64, len(e.candidates))
-	counted := make([]bool, len(e.candidates))
-	for bi := 0; bi < batches; bi++ {
-		ls, err := score(bi)
 		if err != nil {
 			return 0, err
 		}
-		if ls.empty {
+		k, scale, ran := env.batchKernel(dev, occ, ps.plans, pool[bi])
+		if k == nil {
 			return 0, errInfeasible
 		}
+		r, err := sim.Run(dev, k)
+		if err != nil {
+			return 0, err
+		}
+		// The Equation 3 term of each candidate, scaled back to its full
+		// plan, is rounded before it is added (no fused multiply-add), and
+		// the batches are added in order: localBounds.sums adds the same
+		// way, so the bounded stage's exact scores equal these.
 		for ci := range scores {
-			scores[ci] += ls.contrib[ci]
-			counted[ci] = counted[ci] || ls.counted[ci]
+			scores[ci] += float64(r.TagTime[ci] * scale[ci])
+			counted[ci] = counted[ci] || ran[ci]
 		}
 	}
 	return argminCounted(scores, counted)
@@ -318,9 +290,9 @@ var earlyStops atomic.Int64
 // candidate is ever proven, the simulations finish and the exact argmin
 // decides, ties to the lower index as in tuneFeature.
 //
-// The scores of a stopped job are incomplete, so the memo path, which
-// stores per-batch scores for later re-tunes, runs every simulation to the
-// end (featureEnv.exhaustive).
+// It is Tune's only local stage. With a memo, Tune caches the decision it
+// returns (see decisionKey), not the scores, which a stopped job never
+// completes.
 func tuneFeatureBounded(dev *gpusim.Device, env *featureEnv, occ int, plans [][]*sched.Plan,
 	pool [][]gpusim.BlockWork) (int, error) {
 

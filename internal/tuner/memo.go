@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -13,17 +14,21 @@ import (
 	"repro/internal/sched"
 )
 
-// Memo is a concurrency-safe simulation cache shared across Tune calls. Keys
-// fingerprint everything a simulation's outcome depends on — device, feature
-// workloads, candidate set and occupancy — so a hit returns the exact float
-// values a fresh simulation would produce: cached and cold runs are
-// bit-identical. Entries are computed once (singleflight): a second goroutine
-// asking for an in-flight key blocks until the first finishes and then shares
-// its result, so concurrent re-tunes never duplicate work and never observe a
-// torn entry. Beside the simulations it keeps what a re-tune reads of the
-// plans — which candidates can run, and the chosen schedules' bounds — so a
-// re-tune whose simulations all hit plans nothing; the plans themselves are
-// not kept.
+// Memo is a concurrency-safe cache of tuning outcomes shared across Tune
+// calls. It holds three kinds of entry: per (feature, batch), which
+// candidates' plans can run (planInfo); per (occupancy, feature), the local
+// stage's decision over every tuning batch (decision); and per (occupancy,
+// batch, choice vector), the global stage's fused latency (globalScore). Keys
+// fingerprint everything an outcome depends on — device, feature workloads,
+// candidate set and occupancy — so a hit returns the exact values a fresh run
+// would produce: cached and cold runs are bit-identical. Entries are computed
+// once (singleflight): a second goroutine asking for an in-flight key blocks
+// until the first finishes and then shares its result, so concurrent
+// re-tunes never duplicate work and never observe a torn entry. A re-tune
+// whose entries all hit plans and simulates nothing; the plans themselves are
+// not kept. A decision covers every tuning batch, so a re-tune over a partly
+// changed window runs every feature's local stage again; only the plan
+// summaries and global-stage latencies of its unchanged batches hit.
 //
 // The cache grows without bound; it is meant to be scoped to a serving
 // lifetime (one fleet, successive re-tunes) where repeated window batches make
@@ -101,15 +106,12 @@ func (m *Memo) Reset() {
 	m.misses.Store(0)
 }
 
-// localScore is the memoized outcome of one per-feature local-stage batch:
-// the per-candidate score contributions (TagTime scaled back to the full
-// plan) for a single batch, to be summed across batches by the caller.
-type localScore struct {
-	contrib []float64
-	counted []bool
-	// empty marks a batch in which no candidate produced a runnable block,
-	// which rules the occupancy out for this feature.
-	empty bool
+// decision is the memoized outcome of one feature's local stage at one
+// occupancy: the winning candidate and, per tuning batch, the bound on the
+// longest block it puts into the fused kernel (fusion.FeatureBound).
+type decision struct {
+	winner int
+	bounds []float64
 }
 
 // planInfo is the memoized part of planning one feature's workload in one
@@ -220,12 +222,20 @@ func newFingerprints(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2
 	return fp
 }
 
-// localKey keys one per-feature local-stage batch simulation. It includes
-// the feature's own workload digest on top of its static identity, so two
-// replicated features share an entry only when their sampled workloads — and
-// therefore their simulations — are identical.
-func (fp *fingerprints) localKey(occ, warps, f, bi int) string {
-	return fmt.Sprintf("L|%d|%d|%s%s%s%s", occ, warps, fp.dev, fp.feature[f], fp.workload[bi][f], fp.batch[bi])
+// decisionKey keys feature f's local-stage decision at occupancy occ. The
+// decision depends on every tuning batch, so the key carries, for each, the
+// digest of the feature's own workload (two replicated features share an
+// entry only when their sampled workloads, and therefore their simulations,
+// are identical) and the batch digest, which covers the padding pool and
+// the block widths the bounds are charged at.
+func (fp *fingerprints) decisionKey(occ, warps, f int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "D|%d|%d|%s%s", occ, warps, fp.dev, fp.feature[f])
+	for bi := range fp.batch {
+		b.WriteString(fp.workload[bi][f])
+		b.WriteString(fp.batch[bi])
+	}
+	return b.String()
 }
 
 // planKey keys the planInfo of feature f's workload in batch bi under the
@@ -240,12 +250,6 @@ func (fp *fingerprints) planKey(f, bi int, want []bool) string {
 		}
 	}
 	return fmt.Sprintf("P|%s%s%s%s%s", fp.dev, fp.feature[f], fp.workload[bi][f], fp.batch[bi], p.sum())
-}
-
-// boundKey keys the fused-kernel bound (fusion.FeatureBound) of candidate ci
-// of feature f in batch bi at occupancy occ.
-func (fp *fingerprints) boundKey(occ, f, bi, ci int) string {
-	return fmt.Sprintf("B|%d|%d|%s%s%s%s", occ, ci, fp.dev, fp.feature[f], fp.workload[bi][f], fp.batch[bi])
 }
 
 // globalKey keys one global-stage fused measurement of the given choice

@@ -35,11 +35,12 @@ import (
 //     and abandons them once the sum of their simulated clocks exceeds L*.
 //
 // Both tests prove that the occupancy's fused latency exceeds L*, so it
-// cannot win, and the selection is TuneSerial's. Without a memo a feature
-// job also stops simulating once its winning schedule is provable from
-// gpusim's tag bounds (tuneFeatureBounded). With Options.Memo every
-// simulation a stage starts runs to the end and is cached, so later re-tunes
-// reuse it; hits are bit-identical to fresh runs.
+// cannot win, and the selection is TuneSerial's. A feature job also stops
+// simulating once its winning schedule is provable from gpusim's tag bounds
+// (tuneFeatureBounded), with or without a memo. With Options.Memo, each
+// feature job's decision and each global-stage simulation, which then runs
+// to the end, are cached for later re-tunes; hits are bit-identical to fresh
+// runs.
 //
 // Result.PerOccupancy does not depend on which jobs ran, so it is the same
 // for any Parallelism: see OccupancyResult. Nor do plan errors, which are
@@ -284,38 +285,16 @@ func (e *featureEnv) runnable(runnable []bool) bool {
 
 // featureJob runs feature f's local stage at occupancy k, unless the
 // occupancy is ruled out or proven to lose, and folds the winner's bound
-// into the occupancy's.
+// into the occupancy's. With a memo, the decision is served from it when an
+// earlier tune made it over the same batches.
 func (s *sweep) featureJob(k, f int) error {
 	if s.infeasible[k] || !s.open(k) {
 		return nil
 	}
 	occ := s.occupancies[k]
-	env := s.envs[k][f]
-	var idx int
-	var err error
-	if s.memo == nil {
-		plans := make([][]*sched.Plan, len(s.batches))
-		for bi := range plans {
-			ps, _ := s.plansOf(f, bi) // made without error by prepare
-			plans[bi] = ps.plans
-		}
-		idx, err = tuneFeatureBounded(s.dev, env, occ, plans, s.pool)
-	} else {
-		sim := gpusim.NewSimulator()
-		idx, err = env.exhaustive(len(s.batches), func(bi int) (*localScore, error) {
-			v, err := s.memo.do(s.fps.localKey(occ, s.warps, f, bi), func() (any, error) {
-				ps, err := s.plansOf(f, bi)
-				if err != nil {
-					return nil, err
-				}
-				return scoreFeatureBatch(s.dev, env, occ, ps.plans, s.pool[bi], sim)
-			})
-			if err != nil {
-				return nil, err
-			}
-			return v.(*localScore), nil
-		})
-	}
+	v, err := s.cached(func() string { return s.fps.decisionKey(occ, s.warps, f) }, func() (any, error) {
+		return s.decide(k, f)
+	})
 	if errors.Is(err, errInfeasible) {
 		// Unreachable once prepare's checks pass: every batch has a
 		// runnable candidate, whose score is finite. Drop the occupancy
@@ -328,37 +307,40 @@ func (s *sweep) featureJob(k, f int) error {
 	if err != nil {
 		return fmt.Errorf("tuner: occupancy %d, feature %d (%s): %w", occ, f, s.model.Features[f].Name, err)
 	}
-
-	fb := make([]float64, len(s.batches))
-	for bi := range fb {
-		v, err := s.cached(func() string { return s.fps.boundKey(occ, f, bi, idx) }, func() (any, error) {
-			ps, err := s.plansOf(f, bi)
-			if err != nil {
-				return nil, err
-			}
-			p := ps.plans[idx]
-			if p == nil {
-				// The winner cannot compile in this batch, so its
-				// occupancy is dropped if the global stage starts;
-				// it bounds nothing.
-				return 0.0, nil
-			}
-			return fusion.FeatureBound(s.dev, s.model.Features[f].Dim, s.model.Candidates[f][idx], p, occ, s.widths), nil
-		})
-		if err != nil {
-			return fmt.Errorf("tuner: occupancy %d, feature %d (%s): %w", occ, f, s.model.Features[f].Name, err)
-		}
-		fb[bi] = v.(float64)
-	}
+	d := v.(*decision)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := &s.trials[k]
-	t.choice[f] = idx
-	for bi, b := range fb {
+	t.choice[f] = d.winner
+	for bi, b := range d.bounds {
 		t.bound[bi] = max(t.bound[bi], b)
 	}
 	t.left--
 	return nil
+}
+
+// decide runs feature f's bounded local stage at occupancy k and bounds the
+// winner's blocks in every batch's fused kernel (fusion.FeatureBound).
+func (s *sweep) decide(k, f int) (*decision, error) {
+	occ := s.occupancies[k]
+	plans := make([][]*sched.Plan, len(s.batches))
+	for bi := range plans {
+		ps, _ := s.plansOf(f, bi) // made without error by prepare
+		plans[bi] = ps.plans
+	}
+	idx, err := tuneFeatureBounded(s.dev, s.envs[k][f], occ, plans, s.pool)
+	if err != nil {
+		return nil, err
+	}
+	d := &decision{winner: idx, bounds: make([]float64, len(plans))}
+	for bi := range plans {
+		// A winner that cannot compile in a batch bounds nothing there:
+		// its occupancy is dropped if the global stage starts.
+		if p := plans[bi][idx]; p != nil {
+			d.bounds[bi] = fusion.FeatureBound(s.dev, s.model.Features[f].Dim, s.model.Candidates[f][idx], p, occ, s.widths)
+		}
+	}
+	return d, nil
 }
 
 // open reports whether occupancy k may start another job: it is not dropped
@@ -425,9 +407,9 @@ func (s *sweep) advance() error {
 // globalStage measures occupancy k's fused kernel on every batch, unless
 // its bound proves it loses to limit, the final L*. A fused-compile failure
 // drops the occupancy, as in TuneSerial. With a memo, each batch's compile
-// and simulation runs to the end and is cached, as in the local stage;
-// without one, the simulations are stepped and may be abandoned
-// (stepFused).
+// and simulation runs to the end and is cached, so a later re-tune that
+// reaches the same choices over the same batch reuses it; without one, the
+// simulations are stepped and may be abandoned (stepFused).
 func (s *sweep) globalStage(k int, limit float64) error {
 	if !s.open(k) {
 		return nil
@@ -573,6 +555,11 @@ func (s *sweep) result() *Result {
 	return res
 }
 
+// jobFailed, when set, runs each time runJobs has recorded a failed job and
+// stopped dispatching. Tests use it to hold later jobs until then; it is nil
+// otherwise.
+var jobFailed func()
+
 // runJobs dispatches jobs 0..n-1 in index order to a pool of workers. Once
 // any job fails, no further jobs are handed out (cancellation); jobs already
 // dispatched run to completion. The returned error is the failed job with
@@ -600,6 +587,9 @@ func runJobs(n, workers int, run func(i int) error) error {
 				if err := run(i); err != nil {
 					errs[i] = err
 					stop.Store(true)
+					if jobFailed != nil {
+						jobFailed()
+					}
 				}
 			}
 		}()

@@ -13,7 +13,7 @@ import (
 )
 
 // countingSched wraps a schedule and counts Plan calls. With a non-nil
-// gate, every Plan call first waits for the gate to close.
+// gate, every Plan call first waits until the gate is open (closed).
 type countingSched struct {
 	sched.Schedule
 	calls *atomic.Int64
@@ -28,53 +28,41 @@ func (c countingSched) Plan(w *sched.Workload, dev *gpusim.Device, l2 sched.L2Co
 	return c.Schedule.Plan(w, dev, l2)
 }
 
-// failingSched wraps a schedule and fails every Plan call, running fail (if
-// set) first.
-type failingSched struct {
-	sched.Schedule
-	calls *atomic.Int64
-	fail  func()
-}
+// failingSched wraps a schedule and fails every Plan call.
+type failingSched struct{ sched.Schedule }
 
-func (f failingSched) Plan(*sched.Workload, *gpusim.Device, sched.L2Context) (*sched.Plan, error) {
-	f.calls.Add(1)
-	if f.fail != nil {
-		f.fail()
-	}
+func (failingSched) Plan(*sched.Workload, *gpusim.Device, sched.L2Context) (*sched.Plan, error) {
 	return nil, errors.New("injected plan failure")
 }
 
-// TestLocalStageCancelsOnFirstError is the regression test for the
-// pre-fleet-speed worker pool, which recorded only the first *completed*
-// error (scheduling-dependent) and kept simulating every queued job after
-// the failure. The fixed pool must (a) stop handing out local-stage jobs
-// promptly once a job fails, and (b) return the error of the failed job with
-// the lowest (occupancy, feature) index, deterministically across runs and
-// worker counts.
-func TestLocalStageCancelsOnFirstError(t *testing.T) {
+// TestPrepareCancelsOnFirstPlanError pins cancellation where plan errors
+// surface: Tune plans every feature's batches before the sweep, one job per
+// feature on the worker pool (sweep.prepare). Once a plan fails, runJobs
+// must (a) stop handing out feature jobs, and (b) return the error of the
+// lowest failing feature, deterministically across runs and worker counts.
+func TestPrepareCancelsOnFirstPlanError(t *testing.T) {
 	dev := gpusim.V100()
 	model, batches, _ := buildTuneModel(t, 2, 2, 128, 77)
 
-	// Feature 1's only candidate fails instantly; every other feature gets
-	// its normal candidate set wrapped with a call counter. Feature 1
-	// appears early in job order, so with cancellation only a small prefix
-	// of the (occupancy × feature) grid may ever plan. Features past 1 wait
-	// on a gate the failing plan closes, as TestRunJobsDeterministicError
-	// gates runJobs: no worker can race ahead through later jobs before the
-	// failure, so the plan-call bound holds under any goroutine schedule.
-	// Feature 0 stays ungated: job 0 must finish for job 1 to matter, and its
-	// later-occupancy jobs sit behind the gated ones in dispatch order.
-	var planCalls, failCalls atomic.Int64
+	// Feature 1's only candidate fails; every other feature's candidates
+	// count their Plan calls. Features past 1 wait on a gate that opens only
+	// once runJobs has recorded the failure and stopped dispatching
+	// (jobFailed), so no worker can run ahead through later jobs first,
+	// under any goroutine schedule. Feature 0 stays ungated: with one
+	// worker, job 1 runs only after job 0 finishes.
+	var planCalls atomic.Int64
 	var gate chan struct{}
-	var closeGate sync.Once
+	var openGate sync.Once
+	jobFailed = func() { openGate.Do(func() { close(gate) }) }
+	defer func() { jobFailed = nil }()
 	candidates := model.Candidates
 	wrap := func() {
 		gate = make(chan struct{})
-		closeGate = sync.Once{}
+		openGate = sync.Once{}
 		model.Candidates = make([][]sched.Schedule, len(candidates))
 		for f := range candidates {
 			if f == 1 {
-				model.Candidates[f] = []sched.Schedule{failingSched{candidates[f][0], &failCalls, func() { closeGate.Do(func() { close(gate) }) }}}
+				model.Candidates[f] = []sched.Schedule{failingSched{candidates[f][0]}}
 				continue
 			}
 			var g <-chan struct{}
@@ -90,7 +78,6 @@ func TestLocalStageCancelsOnFirstError(t *testing.T) {
 	}
 
 	occupancies := []int{1, 2, 4, 8}
-	nf := len(model.Features)
 	wantPrefix := fmt.Sprintf("tuner: occupancy %d, feature 1 (", occupancies[0])
 	for run := 0; run < 3; run++ {
 		for _, par := range []int{1, 4} {
@@ -100,26 +87,25 @@ func TestLocalStageCancelsOnFirstError(t *testing.T) {
 			if err == nil {
 				t.Fatal("injected failure did not surface")
 			}
-			// Deterministic first-in-job-order error: always occupancy
-			// occupancies[0], feature 1 — never a later job's failure.
+			// Deterministic first-in-job-order error: always feature 1,
+			// reported at the first occupancy its candidate fits.
 			if !strings.HasPrefix(err.Error(), wantPrefix) {
 				t.Fatalf("run %d par %d: error %q, want prefix %q", run, par, err.Error(), wantPrefix)
 			}
 			if !strings.Contains(err.Error(), "injected plan failure") {
 				t.Fatalf("run %d par %d: error %q does not wrap the injected failure", run, par, err.Error())
 			}
-			// Cancellation: the failing job is job index 1 of
-			// len(occupancies)*nf. Without cancellation every job plans
-			// (candidates × batches) times; with it, only jobs dispatched
-			// before the failure registered may run. Allow generous
-			// scheduling slack (workers racing ahead) but pin that the
-			// sweep stopped long before the full grid.
-			jobs := len(occupancies) * nf
-			maxJobs := int64(2 + par + 2) // dispatched before fail + in-flight slack
-			perJob := int64(len(batches) * 30)
-			if got := planCalls.Load(); got > maxJobs*perJob {
-				t.Fatalf("run %d par %d: %d plan calls after failure, want <= %d (full grid would be ~%d jobs)",
-					run, par, got, maxJobs*perJob, jobs)
+			// Cancellation: when the failure is recorded, the jobs past 1
+			// already handed out are all held at the gate, one per
+			// worker besides the failing one, and the dispatcher hands
+			// out at most one more. So only features 0 and 2..par+1 may
+			// plan, each batch under each of its candidates at most once.
+			limit := int64(len(batches) * len(candidates[0]))
+			for f := 2; f <= par+1; f++ {
+				limit += int64(len(batches) * len(candidates[f]))
+			}
+			if got := planCalls.Load(); got > limit {
+				t.Fatalf("run %d par %d: %d plan calls after failure, want <= %d", run, par, got, limit)
 			}
 		}
 	}
@@ -185,7 +171,7 @@ func TestMemoSingleflightUnderRace(t *testing.T) {
 				key := fmt.Sprintf("key-%d", k)
 				v, err := memo.do(key, func() (any, error) {
 					computes[k].Add(1)
-					return &localScore{contrib: []float64{float64(k)}}, nil
+					return &decision{bounds: []float64{float64(k)}}, nil
 				})
 				if err != nil {
 					t.Errorf("goroutine %d key %d: %v", g, k, err)
@@ -205,7 +191,7 @@ func TestMemoSingleflightUnderRace(t *testing.T) {
 				t.Errorf("key %d: goroutine %d observed a different entry", k, g)
 			}
 		}
-		if got := vals[0][k].(*localScore).contrib[0]; got != float64(k) {
+		if got := vals[0][k].(*decision).bounds[0]; got != float64(k) {
 			t.Errorf("key %d: torn value %v", k, got)
 		}
 	}

@@ -23,11 +23,12 @@
 // and stops tuning and measuring an occupancy once a sound lower bound on
 // its fused latency proves that an occupancy earlier in the sweep beats it.
 // Options.Warm puts an incumbent occupancy first in the sweep, and
-// Options.Memo serves repeated simulations from a shared cache. Tune selects
-// bit-identically to TuneSerial — the frozen reference engine, which runs
-// every simulation to completion, kept as the equivalence oracle and
-// benchmark baseline — and reports the occupancies it proved to lose as
-// abandoned trials (see OccupancyResult and the equivalence property tests).
+// Options.Memo serves repeated decisions and simulations from a shared
+// cache. Tune selects bit-identically to TuneSerial — the frozen reference
+// engine, which runs every simulation to completion, kept as the
+// equivalence oracle and benchmark baseline — and reports the occupancies
+// it proved to lose as abandoned trials (see OccupancyResult and the
+// equivalence property tests).
 //
 // The straw-man separate-combine tuner of §II-C (tune each feature's latency
 // in isolation, no padding, no occupancy control) lives in separate.go and
@@ -151,11 +152,11 @@ type Options struct {
 	// Nil means a cold search. Ignored by TuneSerial.
 	Warm *Warm
 
-	// Memo, when non-nil, serves repeated local- and global-stage
-	// simulations from a shared cache instead of re-simulating. Hits are
-	// bit-identical to fresh simulations, so a memoized run returns
-	// exactly the cold-run Result. The cache is concurrency-safe and
-	// meant to be shared across occupancies, batches, successive re-tunes
+	// Memo, when non-nil, serves repeated local-stage decisions and
+	// global-stage simulations from a shared cache instead of re-running
+	// them (see Memo). Hits are bit-identical to fresh runs, so a
+	// memoized run returns exactly the cold-run Result. The cache is
+	// concurrency-safe and meant to be shared across successive re-tunes
 	// and fleet models. Ignored by TuneSerial.
 	Memo *Memo
 
