@@ -200,6 +200,8 @@ func BenchmarkTuneSerial(b *testing.B) { perf.TuneSerial(b) }
 
 func BenchmarkTuneCold(b *testing.B) { perf.TuneCold(b) }
 
+func BenchmarkTuneLosing(b *testing.B) { perf.TuneLosing(b) }
+
 func BenchmarkRetuneWarm(b *testing.B) { perf.RetuneWarm(b) }
 
 func BenchmarkPoolingReference(b *testing.B) {

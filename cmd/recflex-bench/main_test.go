@@ -40,7 +40,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{args: []string{"-perf", "x.json", "-perf-regress", "0.3"}, want: "pass -perf-baseline"},
 		// The CI perf gate's command line passes validation: it fails only
 		// where it reads the (here missing) baseline file.
-		{args: []string{"-perf", "BENCH_ci.json", "-perf-baseline", "/nonexistent/BENCH_22.json", "-perf-count", "3", "-perf-note", "ci run"}, want: "perf baseline:"},
+		{args: []string{"-perf", "BENCH_ci.json", "-perf-baseline", "/nonexistent/BENCH_25.json", "-perf-count", "3", "-perf-note", "ci run"}, want: "perf baseline:"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args, io.Discard)

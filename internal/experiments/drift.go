@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/datasynth"
@@ -56,10 +57,12 @@ type DriftResult struct {
 	// Fleet-speed act: the same drift-detect→hot-swap lifecycle timed under
 	// the serial reference tuner and under the fleet-speed engine. The wall
 	// times are measured host seconds spent inside the background re-tune
-	// (trace.Metrics.TuneWall). The fleet arms keep pruning OFF, so the
-	// re-tuned schedule set is bit-identical to the serial reference by the
-	// equivalence pin; the speed comes from warm-starting the search from
-	// the outgoing generation and from a fleet-shared simulation memo.
+	// (trace.Metrics.TuneWall). The fleet-speed engine selects bit-identically
+	// to the serial reference by the equivalence pin; the speed comes from
+	// warm-starting the search from the outgoing generation and from a
+	// fleet-shared simulation memo. Every arm reads its window batches from
+	// the study's batch cache, which the continuous run fills, so these wall
+	// times measure tuning, not batch generation.
 	RetuneWallSerial float64
 	// RetuneWallWarm is the first fleet replica's re-tune: warm-started from
 	// the outgoing generation (occupancies that cannot beat the incumbent
@@ -110,9 +113,7 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 	// The shift lands a third of the way in, so the supervisor tunes up on
 	// stable traffic first and has plenty of post-swap trace to measure.
 	drift := datasynth.StepDrift(reqs[n/3].Arrival, factor)
-	src := func(t float64, size int) (*embedding.Batch, error) {
-		return drift.BatchForSize(cfg, t, size)
-	}
+	src := phaseBatches(drift, cfg)
 	opts := core.ContinuousOptions{
 		Supervisor: trace.SupervisorConfig{
 			Server:     trace.ServerConfig{Workers: 2},
@@ -178,11 +179,11 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 	// lifecycle with Options.Serial pinning the pre-fleet-speed reference.
 	// The fleet arm models two replicas of the model hitting the same drift
 	// and re-tuning from the shared drift profile window: both warm-start
-	// from the outgoing generation, keep pruning OFF (so the schedule set is
-	// bit-identical to the serial arm by construction), and share one
-	// simulation memo. The first replica pays for the simulations once; the
-	// second replica's re-tune — the fleet steady state — runs almost
-	// entirely out of the memo.
+	// from the outgoing generation (the schedule set is bit-identical to the
+	// serial arm by the equivalence pin) and share one simulation memo. The
+	// first replica pays for the simulations once; the second replica's
+	// re-tune — the fleet steady state — runs almost entirely out of the
+	// memo.
 	serialOpts := opts
 	serialOpts.Tune.Serial = true
 	serialLive := rf.Clone()
@@ -266,6 +267,37 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// phaseBatches returns the study's batch source: drift's canonical batch of
+// cfg per (drift phase, size), built on first use and then shared. Every
+// time within one phase draws the same batch (DriftSchedule.BatchForSize),
+// so the cache returns exactly what a fresh draw would. It is safe for
+// concurrent use, and concurrent first requests for one key build it once.
+func phaseBatches(drift *datasynth.DriftSchedule, cfg *datasynth.ModelConfig) core.TimedBatchSource {
+	type key struct {
+		phase float64
+		size  int
+	}
+	type entry struct {
+		once sync.Once
+		b    *embedding.Batch
+		err  error
+	}
+	var mu sync.Mutex
+	cache := map[key]*entry{}
+	return func(t float64, size int) (*embedding.Batch, error) {
+		k := key{drift.PhaseStart(t), size}
+		mu.Lock()
+		e := cache[k]
+		if e == nil {
+			e = &entry{}
+			cache[k] = e
+		}
+		mu.Unlock()
+		e.once.Do(func() { e.b, e.err = drift.BatchForSize(cfg, t, size) })
+		return e.b, e.err
+	}
 }
 
 // sameTuning reports whether two instances adopted the same schedule set:

@@ -157,8 +157,8 @@ func TestDriftStudy(t *testing.T) {
 	// The fleet-speed act: at this scale (~40 features) the warm-started,
 	// memo-shared fleet re-tune must cut the measured drift-detect→hot-swap
 	// wall time at least 3x against the serial reference, without changing
-	// the selected schedule set (pruning stays off in this arm, so the match
-	// is required exactly).
+	// the selected schedule set (the engines select bit-identically, so the
+	// match is required exactly).
 	if res.RetuneWallSerial <= 0 || res.RetuneWallWarm <= 0 || res.RetuneWallFleet <= 0 {
 		t.Fatalf("re-tune wall times not measured: serial %g warm %g fleet %g",
 			res.RetuneWallSerial, res.RetuneWallWarm, res.RetuneWallFleet)

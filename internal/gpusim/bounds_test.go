@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// boundsKernel draws a random kernel for the TagBounds checks: tags in
-// [-1, boundTags] (so tag boundTags falls outside the bounded range),
+// boundsKernel draws a random kernel for the TagBounds and EndBound checks:
+// tags in [-1, boundTags] (so tag boundTags falls outside the bounded range),
 // compute-only and zero-work blocks among memory-moving ones, warp counts up
-// to maxWarps, and an occupancy override when override is in range.
+// to maxWarps, an occupancy override when override is in range, and the
+// launch overhead on odd seeds.
 func boundsKernel(d *Device, seed int64, n, maxWarps, override int) *Kernel {
 	rng := rand.New(rand.NewSource(seed))
 	blocks := make([]BlockWork, n)
@@ -27,7 +28,8 @@ func boundsKernel(d *Device, seed int64, n, maxWarps, override int) *Kernel {
 		}
 		blocks[i] = b
 	}
-	k := &Kernel{Name: "bounds", Resources: KernelResources{ThreadsPerBlock: maxWarps * d.WarpSize}, Blocks: blocks}
+	k := &Kernel{Name: "bounds", Resources: KernelResources{ThreadsPerBlock: maxWarps * d.WarpSize}, Blocks: blocks,
+		IncludeLaunchOverhead: seed%2 != 0}
 	if natural := k.Resources.BlocksPerSM(d); override <= natural {
 		k.BlocksPerSMOverride = override
 	}
@@ -37,10 +39,12 @@ func boundsKernel(d *Device, seed int64, n, maxWarps, override int) *Kernel {
 const boundTags = 4
 
 // checkTagBounds steps k to completion on a fresh Simulator, calling
-// TagBounds before the first step and after every step. Each bound must be at
-// most the tag's final TagTime×(1+1e-12), each pending count must equal the
-// tag's blocks less those retired so far, and once the grid drains every
-// bound must equal its TagTime exactly with nothing pending.
+// TagBounds and EndBound before the first step and after every step. Each
+// tag bound must be at most the tag's final TagTime×(1+1e-12), each pending
+// count must equal the tag's blocks less those retired so far, and once the
+// grid drains every bound must equal its TagTime exactly with nothing
+// pending. Each end bound must lie in [Now, Time×(1+1e-12)], and once the
+// grid drains it must equal Time exactly.
 func checkTagBounds(t *testing.T, d *Device, k *Kernel) {
 	t.Helper()
 	total := make([]int, boundTags)
@@ -56,9 +60,12 @@ func checkTagBounds(t *testing.T, d *Device, k *Kernel) {
 	lower := make([]float64, boundTags)
 	pending := make([]int, boundTags)
 	var history [][]float64
+	var ends, nows []float64
 	for more := true; more; {
 		sim.TagBounds(lower, pending)
 		history = append(history, append([]float64(nil), lower...))
+		ends = append(ends, sim.EndBound())
+		nows = append(nows, sim.Now())
 		r := sim.Result()
 		for tag := range pending {
 			if want := total[tag] - r.TagBlocks[tag]; pending[tag] != want {
@@ -71,6 +78,14 @@ func checkTagBounds(t *testing.T, d *Device, k *Kernel) {
 		}
 	}
 	r := sim.Result()
+	if end := sim.EndBound(); math.Float64bits(end) != math.Float64bits(r.Time) {
+		t.Fatalf("drained: end bound %v, want Time %v", end, r.Time)
+	}
+	for step, end := range ends {
+		if end < nows[step] || end > r.Time*(1+1e-12) {
+			t.Fatalf("step %d: end bound %v outside [Now %v, Time %v]", step, end, nows[step], r.Time)
+		}
+	}
 	sim.TagBounds(lower, pending)
 	for tag := range lower {
 		if pending[tag] != 0 || math.Float64bits(lower[tag]) != math.Float64bits(r.TagTime[tag]) {
@@ -95,9 +110,10 @@ func TestTagBoundsSound(t *testing.T) {
 	}
 }
 
-// FuzzTagBounds checks TagBounds' soundness on random kernels: at every step
-// of a run, each tag's bound is at most its final TagTime and its pending
-// count is its unretired block count.
+// FuzzTagBounds checks TagBounds' and EndBound's soundness on random
+// kernels: at every step of a run, each tag's bound is at most its final
+// TagTime, its pending count is its unretired block count, and the end bound
+// lies between Now and the final Time.
 func FuzzTagBounds(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(8), uint8(0), false)
 	f.Add(int64(7), uint16(300), uint8(2), uint8(1), true)

@@ -148,6 +148,10 @@ type Simulator struct {
 	sums       threadSums
 	launch     []launchWork // per-block dispatch image, derived once per kernel
 	tags       []int        // per-block tag, densely packed for the retire path
+	// tail[i] is the longest drainBound of launch[i:], derived on the first
+	// EndBound call after the launch table changes (tailOK).
+	tail   []float64
+	tailOK bool
 
 	// State of the run between Start and the step that drains the grid.
 	dev                          *Device
@@ -226,6 +230,7 @@ func (s *Simulator) Start(d *Device, k *Kernel) error {
 			s.launch[i] = launchOf(d, &k.Blocks[i])
 			s.tags[i] = k.Blocks[i].Tag
 		}
+		s.tailOK = false
 		s.lastDev, s.lastKernel, s.lastBlocks, s.lastNB = d, k, blocksID, len(k.Blocks)
 	}
 	bps := k.EffectiveBlocksPerSM(d)
@@ -567,6 +572,43 @@ func (s *Simulator) TagBounds(lower []float64, pending []int) {
 	for t := range lower {
 		lower[t] = s.res.TagTime[t] + lower[t]
 	}
+}
+
+// EndBound returns a lower bound on the Time the run will end with. No
+// resident block retires before its remaining work drains at the rate
+// ceilings TagBounds uses, and no undispatched block before it is
+// dispatched, at Now or later, and drains its whole work; the kernel ends
+// with its last block, plus the launch overhead when it requests it. The
+// undispatched part reads a suffix maximum over the grid, so a call costs
+// one pass over the resident blocks. The bound is never below Now, and once
+// the grid has drained it equals Time exactly. Valid at any point after a
+// successful Start.
+func (s *Simulator) EndBound() float64 {
+	c := newCeilings(s.dev)
+	t := 0.0
+	st := &s.st
+	for i := range st.active {
+		rb, m := &st.active[i], &st.meta[i]
+		t = max(t, c.drainBound(rb.remComp, rb.remDRAM, rb.remL2, m.warps, m.capFactor))
+	}
+	if s.next < len(s.launch) {
+		if !s.tailOK {
+			s.tail = growFloats(s.tail, len(s.launch))
+			longest := 0.0
+			for i := len(s.launch) - 1; i >= 0; i-- {
+				lw := &s.launch[i]
+				longest = max(longest, c.drainBound(lw.comp, lw.dram, lw.l2, lw.warps, lw.capFactor))
+				s.tail[i] = longest
+			}
+			s.tailOK = true
+		}
+		t = max(t, s.tail[s.next])
+	}
+	end := s.now + t
+	if s.kernel.IncludeLaunchOverhead {
+		end += s.dev.KernelLaunchOverhead
+	}
+	return end
 }
 
 // BlockBound returns the least time block b can spend resident in any kernel

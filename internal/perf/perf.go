@@ -34,7 +34,8 @@ const (
 // regimes (wide launch, saturated retire/backfill), the three replay engines
 // (single-model server, multi-tenant fleet pool, elastic heterogeneous pool
 // with preemption and autoscaling), the embedding-cache tier's per-dispatch
-// path, and the tuner engines (serial reference, the default cold engine,
+// path, and the tuner engines (serial reference, the default cold engine on
+// a fixture whose occupancies all come close and on one where most lose,
 // warm-started re-tune).
 func Cases() []Case {
 	return []Case{
@@ -47,6 +48,7 @@ func Cases() []Case {
 		{Name: "CacheDispatch", ReqsPerIter: 1, Bench: CacheDispatch},
 		{Name: "TuneSerial", Bench: TuneSerial},
 		{Name: "TuneCold", Bench: TuneCold},
+		{Name: "TuneLosing", Bench: TuneLosing},
 		{Name: "RetuneWarm", Bench: RetuneWarm},
 	}
 }

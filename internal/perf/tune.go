@@ -2,11 +2,13 @@ package perf
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/datasynth"
 	"repro/internal/embedding"
+	"repro/internal/experiments"
 	"repro/internal/fusion"
 	"repro/internal/gpusim"
 	"repro/internal/tuner"
@@ -101,6 +103,55 @@ func TuneCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := tuner.Tune(dev, model, batches, opts); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// The losing-occupancy fixture is Table-I model B at scale 100 with the two
+// tuning batches of the benchmark's tune-models workload. Its occupancies
+// 3-8 lose on V100, most by a wide margin, so it measures what the sweep
+// spends on occupancies it proves to lose, which TuneCold's fixture, whose
+// occupancies lie within 3% of each other, cannot show.
+var (
+	losingOnce    sync.Once
+	losingModel   *tuner.Model
+	losingBatches []*embedding.Batch
+	losingErr     error
+)
+
+func losingFixture(b *testing.B) (*tuner.Model, []*embedding.Batch) {
+	losingOnce.Do(func() {
+		suite := experiments.NewSuite(experiments.Config{Scale: 100, TuneBatches: 2, EvalBatches: 8, BatchCap: 512})
+		cfg := suite.ScaledModel(datasynth.ModelB())
+		ds, err := suite.Dataset(cfg)
+		if err != nil {
+			losingErr = err
+			return
+		}
+		losingBatches, _ = suite.Split(ds)
+		losingModel = tuner.DefaultModel(experiments.Features(cfg))
+	})
+	if losingErr != nil {
+		b.Fatal(losingErr)
+	}
+	return losingModel, losingBatches
+}
+
+// TuneLosing measures a cold default tune, as tune-models runs it, of a
+// model most of whose occupancies lose. It fails unless the tune abandons
+// some trial, so the case always exercises the sweep's pruning.
+func TuneLosing(b *testing.B) {
+	dev := gpusim.V100()
+	model, batches := losingFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := tuner.Tune(dev, model, batches, tuner.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !slices.ContainsFunc(res.PerOccupancy, func(r tuner.OccupancyResult) bool { return r.Abandoned }) {
+			b.Fatal("no trial was abandoned")
 		}
 	}
 }

@@ -15,13 +15,23 @@ import (
 // occupancies.
 var errInfeasible = errors.New("tuner: occupancy infeasible for feature")
 
-// paddingPool plans the whole model's workloads under a neutral schedule,
+// errPruned reports a bounded local-stage job stopped because its occupancy
+// was proven to lose while it ran (tuneFeatureBounded's stop check).
+var errPruned = errors.New("tuner: occupancy proven to lose")
+
+// neutral is the schedule the padding pool plans the model's workloads under.
+var neutral = sched.SubWarp{Threads: 256, Lanes: 32, Vec: 1, UnrollRows: 1}
+
+// paddingPool plans the whole model's workloads under the neutral schedule,
 // one pool per batch. The local stage draws its padding blocks from here so
 // the simulated interference matches the fused kernel's real traffic mix.
-func paddingPool(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2 []sched.L2Context) ([][]gpusim.BlockWork, error) {
-	neutral := sched.SubWarp{Threads: 256, Lanes: 32, Vec: 1, UnrollRows: 1}
-	pool := make([][]gpusim.BlockWork, len(ws))
+// plans[bi][f] is feature f's neutral plan of batch bi, nil when the
+// schedule does not support the workload.
+func paddingPool(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2 []sched.L2Context) (pool [][]gpusim.BlockWork, plans [][]*sched.Plan, err error) {
+	pool = make([][]gpusim.BlockWork, len(ws))
+	plans = make([][]*sched.Plan, len(ws))
 	for bi := range ws {
+		plans[bi] = make([]*sched.Plan, len(model.Features))
 		var blocks []gpusim.BlockWork
 		for f := range model.Features {
 			w := &ws[bi][f]
@@ -30,8 +40,9 @@ func paddingPool(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2 []s
 			}
 			p, err := neutral.Plan(w, dev, l2[bi])
 			if err != nil {
-				return nil, fmt.Errorf("tuner: padding pool feature %d: %w", f, err)
+				return nil, nil, fmt.Errorf("tuner: padding pool feature %d: %w", f, err)
 			}
+			plans[bi][f] = p
 			for i := range p.Blocks {
 				b := p.Blocks[i]
 				b.Tag = -1
@@ -39,11 +50,11 @@ func paddingPool(dev *gpusim.Device, model *Model, ws [][]sched.Workload, l2 []s
 			}
 		}
 		if len(blocks) == 0 {
-			return nil, fmt.Errorf("tuner: empty padding pool for batch %d", bi)
+			return nil, nil, fmt.Errorf("tuner: empty padding pool for batch %d", bi)
 		}
 		pool[bi] = blocks
 	}
-	return pool, nil
+	return pool, plans, nil
 }
 
 // featureEnv is the once-per-(feature, occupancy) precomputation of the local
@@ -292,9 +303,12 @@ var earlyStops atomic.Int64
 //
 // It is Tune's only local stage. With a memo, Tune caches the decision it
 // returns (see decisionKey), not the scores, which a stopped job never
-// completes.
+// completes. Without one, Tune passes a non-nil stop, which reports that
+// the job's occupancy has been proven to lose; it is polled at the same
+// checks, before the tag bounds, and a true stop ends the job with
+// errPruned and no decision.
 func tuneFeatureBounded(dev *gpusim.Device, env *featureEnv, occ int, plans [][]*sched.Plan,
-	pool [][]gpusim.BlockWork) (int, error) {
+	pool [][]gpusim.BlockWork, stop func() bool) (int, error) {
 
 	lb := newLocalBounds(len(plans), len(env.candidates))
 	sims := make([]*gpusim.Simulator, len(plans))
@@ -337,6 +351,9 @@ func tuneFeatureBounded(dev *gpusim.Device, env *featureEnv, occ int, plans [][]
 		}
 		if steps%boundInterval != 0 || running == 0 {
 			continue
+		}
+		if stop != nil && stop() {
+			return 0, errPruned
 		}
 		for b, sim := range sims {
 			if !final[b] {

@@ -16,7 +16,8 @@ import (
 
 // Memo is a concurrency-safe cache of tuning outcomes shared across Tune
 // calls. It holds three kinds of entry: per (feature, batch), which
-// candidates' plans can run (planInfo); per (occupancy, feature), the local
+// candidates' plans can run and the bound that feature is predicted to add
+// at each occupancy (planInfo); per (occupancy, feature), the local
 // stage's decision over every tuning batch (decision); and per (occupancy,
 // batch, choice vector), the global stage's fused latency (globalScore). Keys
 // fingerprint everything an outcome depends on — device, feature workloads,
@@ -117,9 +118,12 @@ type decision struct {
 // planInfo is the memoized part of planning one feature's workload in one
 // batch: runnable[ci] reports whether candidate ci's plan has a block to run
 // and, when planning failed, failed names the candidate that failed.
+// predicted[k] is the bound the neutral padding-pool plan predicts at the
+// sweep's occupancy k (sweep.predict).
 type planInfo struct {
-	runnable []bool
-	failed   int
+	runnable  []bool
+	failed    int
+	predicted []float64
 }
 
 // globalScore is the memoized outcome of one global-stage (occupancy, batch)
@@ -239,14 +243,21 @@ func (fp *fingerprints) decisionKey(occ, warps, f int) string {
 }
 
 // planKey keys the planInfo of feature f's workload in batch bi under the
-// candidates marked in want.
-func (fp *fingerprints) planKey(f, bi int, want []bool) string {
+// candidates marked in want, predicted at the given occupancies for fused
+// kernels of the given block widths.
+func (fp *fingerprints) planKey(f, bi int, want []bool, occupancies, widths []int) string {
 	p := newFP()
 	for _, w := range want {
 		if w {
 			p.i64(1)
 		} else {
 			p.i64(0)
+		}
+	}
+	for _, list := range [][]int{occupancies, widths} {
+		p.i64(int64(len(list)))
+		for _, v := range list {
+			p.i64(int64(v))
 		}
 	}
 	return fmt.Sprintf("P|%s%s%s%s%s", fp.dev, fp.feature[f], fp.workload[bi][f], fp.batch[bi], p.sum())

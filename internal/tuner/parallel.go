@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -23,18 +24,24 @@ import (
 // the others in list order (ascending when derived). Each occupancy runs its
 // local stage, one job per feature on a shared worker pool
 // (Options.Parallelism), then its global stage; the global stages run one at
-// a time in sweep order. L*, the best fused latency measured at an occupancy
-// earlier in the sweep, prunes the later ones twice:
+// a time in sweep order. An occupancy's feature jobs start heaviest first,
+// by the bound each feature is predicted to add there (see prepare). L*, the
+// best fused latency measured at an occupancy earlier in the sweep, prunes
+// the later ones three ways:
 //
 //   - Before each feature job and before the global stage, the occupancy's
 //     bound — per batch, the longest block any already-chosen schedule puts
 //     into the fused kernel (fusion.FeatureBound), summed over batches — is
 //     compared with L*; once it exceeds L*·(1+boundMargin), the occupancy
-//     starts no further job and is abandoned.
+//     starts no further job and is abandoned. Heaviest first, a losing
+//     occupancy usually needs one job to be proven to lose.
+//   - Without a memo, a feature job polls the same test while it simulates
+//     and stops, folding nothing, once its occupancy is proven to lose.
 //   - Without a memo, the global stage steps one fused simulation per batch
-//     and abandons them once the sum of their simulated clocks exceeds L*.
+//     and abandons them once the sum of their end bounds (gpusim's
+//     EndBound) exceeds L*·(1+boundMargin).
 //
-// Both tests prove that the occupancy's fused latency exceeds L*, so it
+// Each test proves that the occupancy's fused latency exceeds L*, so it
 // cannot win, and the selection is TuneSerial's. A feature job also stops
 // simulating once its winning schedule is provable from gpusim's tag bounds
 // (tuneFeatureBounded), with or without a memo. With Options.Memo, each
@@ -52,34 +59,43 @@ func Tune(dev *gpusim.Device, model *Model, batches []*embedding.Batch, opts Opt
 	if opts.Serial {
 		return TuneSerial(dev, model, batches, opts)
 	}
+	o := opts.withDefaults()
+	s, err := newSweep(dev, model, batches, o)
+	if err != nil {
+		return nil, err
+	}
+	if err := runJobs(len(s.occupancies)*len(model.Features), o.Parallelism, s.job); err != nil {
+		return nil, err
+	}
+	return finishResult(model, s.result())
+}
+
+// newSweep analyzes the batches, builds the padding pool and prepares the
+// sweep for options o, whose defaults are already applied.
+func newSweep(dev *gpusim.Device, model *Model, batches []*embedding.Batch, o Options) (*sweep, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
 	if len(batches) == 0 {
 		return nil, fmt.Errorf("tuner: no historical batches")
 	}
-	o := opts.withDefaults()
-
 	occupancies, warpsPerBlock, err := occupancyCandidates(dev, model, o)
 	if err != nil {
 		return nil, err
 	}
-
 	ws, l2, err := analyzeBatches(dev, model, batches)
 	if err != nil {
 		return nil, err
 	}
-
 	// See TuneSerial: the padding pool reproduces the fused kernel's mixed
 	// traffic when the local stage fills the SMs around the candidates.
-	pool, err := paddingPool(dev, model, ws, l2)
+	pool, neutralPlans, err := paddingPool(dev, model, ws, l2)
 	if err != nil {
 		return nil, err
 	}
-
 	s := &sweep{
-		dev: dev, model: model, batches: batches, occupancies: occupancies,
-		warps: warpsPerBlock, ws: ws, l2: l2, pool: pool, memo: o.Memo, best: math.Inf(1),
+		dev: dev, model: model, batches: batches, occupancies: occupancies, warps: warpsPerBlock,
+		ws: ws, l2: l2, pool: pool, neutral: neutralPlans, memo: o.Memo, best: math.Inf(1),
 	}
 	if o.Memo != nil {
 		s.fps = newFingerprints(dev, model, ws, l2)
@@ -87,17 +103,19 @@ func Tune(dev *gpusim.Device, model *Model, batches []*embedding.Batch, opts Opt
 	if err := s.prepare(o); err != nil {
 		return nil, err
 	}
-	nf := len(model.Features)
-	err = runJobs(len(occupancies)*nf, o.Parallelism, func(i int) error {
-		if err := s.featureJob(s.order[i/nf], i%nf); err != nil {
-			return err
-		}
-		return s.advance()
-	})
-	if err != nil {
-		return nil, err
+	return s, nil
+}
+
+// job runs sweep position i: occupancy order[i/nf]'s job for its
+// (i%nf)-th heaviest feature (rank), then settles what it can (advance). A
+// job stopped because its occupancy lost (errPruned) has not failed.
+func (s *sweep) job(i int) error {
+	nf := len(s.model.Features)
+	k := s.order[i/nf]
+	if err := s.featureJob(k, s.rank[k][i%nf]); err != nil && !errors.Is(err, errPruned) {
+		return err
 	}
-	return finishResult(model, s.result())
+	return s.advance()
 }
 
 // sweep is one Tune call's branch-and-bound state. The fields above mu are
@@ -112,10 +130,12 @@ type sweep struct {
 	ws          [][]sched.Workload
 	l2          []sched.L2Context
 	pool        [][]gpusim.BlockWork
+	neutral     [][]*sched.Plan // [bi][f] the padding pool's plans
 	memo        *Memo
 	fps         *fingerprints
 
 	order      []int           // sweep position -> occupancy index
+	rank       [][]int         // [k] features, heaviest predicted bound first
 	envs       [][]*featureEnv // [k][f], nil when feature f cannot meet occupancy k
 	fits       [][]bool        // [f][ci] candidate ci fits some occupancy
 	plans      [][]lazyPlans   // [f][bi]
@@ -164,6 +184,12 @@ func (s *sweep) plansOf(f, bi int) (*planSet, error) {
 // (newFeatureEnv) or no candidate with a runnable block in some batch. Both
 // checks need no simulation, so plan errors and ruled-out occupancies never
 // depend on which jobs a prune later skips.
+//
+// It also ranks each occupancy's features by the bound each is predicted to
+// add, heaviest first, ties to the lower index: fusion.FeatureBound of the
+// feature's neutral padding-pool plan at the occupancy, summed over batches.
+// Jobs start in that order, so an occupancy that loses is usually proven to
+// by its first job.
 func (s *sweep) prepare(o Options) error {
 	nk, nf, nb := len(s.occupancies), len(s.model.Features), len(s.batches)
 	warm := -1
@@ -178,10 +204,19 @@ func (s *sweep) prepare(o Options) error {
 			s.order = append(s.order, k)
 		}
 	}
+	for f := range s.model.Candidates {
+		for _, c := range s.model.Candidates[f] {
+			if t := c.Resources(s.model.Features[f].Dim).ThreadsPerBlock; !slices.Contains(s.widths, t) {
+				s.widths = append(s.widths, t)
+			}
+		}
+	}
 
 	s.envs = make([][]*featureEnv, nk)
+	predicted := make([][]float64, nk)
 	for k := range s.envs {
 		s.envs[k] = make([]*featureEnv, nf)
+		predicted[k] = make([]float64, nf)
 	}
 	s.fits = make([][]bool, nf)
 	s.plans = make([][]lazyPlans, nf)
@@ -190,7 +225,7 @@ func (s *sweep) prepare(o Options) error {
 	}
 	infeasible := make([]atomic.Bool, nk)
 	err := runJobs(nf, o.Parallelism, func(f int) error {
-		return s.checkFeature(f, infeasible)
+		return s.checkFeature(f, infeasible, predicted)
 	})
 	if err != nil {
 		return err
@@ -200,28 +235,27 @@ func (s *sweep) prepare(o Options) error {
 		s.infeasible[k] = infeasible[k].Load()
 	}
 
-	for f := range s.model.Candidates {
-		for _, c := range s.model.Candidates[f] {
-			if t := c.Resources(s.model.Features[f].Dim).ThreadsPerBlock; !slices.Contains(s.widths, t) {
-				s.widths = append(s.widths, t)
-			}
-		}
-	}
-
+	s.rank = make([][]int, nk)
 	s.trials = make([]trial, nk)
 	for k := range s.trials {
+		s.rank[k] = make([]int, nf)
+		for f := range s.rank[k] {
+			s.rank[k][f] = f
+		}
+		slices.SortStableFunc(s.rank[k], func(a, b int) int { return cmp.Compare(predicted[k][b], predicted[k][a]) })
 		s.trials[k] = trial{choice: make([]int, nf), left: nf, bound: make([]float64, nb)}
 	}
 	return nil
 }
 
-// checkFeature computes feature f's environment at every occupancy and
-// marks the occupancies at which some batch has no runnable candidate. It
-// reads which candidates can run from each batch's plans (a planInfo, which
-// the memo caches in place of the plans). A failed plan is reported at the
-// first occupancy its candidate fits, as TuneSerial's job there would
-// report it.
-func (s *sweep) checkFeature(f int, infeasible []atomic.Bool) error {
+// checkFeature computes feature f's environment at every occupancy, marks
+// the occupancies at which some batch has no runnable candidate, and sums the
+// bound f is predicted to add at each occupancy (predicted[k][f], see
+// prepare). It reads which candidates can run, and the prediction, from each
+// batch's planInfo, which the memo caches in place of the plans. A failed
+// plan is reported at the first occupancy its candidate fits, as
+// TuneSerial's job there would report it.
+func (s *sweep) checkFeature(f int, infeasible []atomic.Bool, predicted [][]float64) error {
 	first := make([]int, len(s.model.Candidates[f])) // first occupancy index the candidate fits, or -1
 	for ci := range first {
 		first[ci] = -1
@@ -245,14 +279,21 @@ func (s *sweep) checkFeature(f int, infeasible []atomic.Bool) error {
 	}
 	s.fits[f] = fits
 	for bi := range s.batches {
-		v, err := s.cached(func() string { return s.fps.planKey(f, bi, fits) }, func() (any, error) {
+		v, err := s.cached(func() string { return s.fps.planKey(f, bi, fits, s.occupancies, s.widths) }, func() (any, error) {
 			ps, err := s.plansOf(f, bi)
-			return ps.info(), err
+			info := ps.info()
+			if err == nil {
+				info.predicted = s.predict(f, bi)
+			}
+			return info, err
 		})
 		info := v.(*planInfo)
 		if err != nil {
 			return fmt.Errorf("tuner: occupancy %d, feature %d (%s): %w",
 				s.occupancies[first[info.failed]], f, s.model.Features[f].Name, err)
+		}
+		for k, b := range info.predicted {
+			predicted[k][f] += b
 		}
 		for k, env := range s.envs {
 			if env[f] != nil && !env[f].runnable(info.runnable) {
@@ -261,6 +302,20 @@ func (s *sweep) checkFeature(f int, infeasible []atomic.Bool) error {
 		}
 	}
 	return nil
+}
+
+// predict returns, per occupancy, the bound feature f's neutral padding-pool
+// plan of batch bi would add to the fused kernel (fusion.FeatureBound), or 0
+// when the neutral schedule does not support the workload. prepare ranks
+// the features by it.
+func (s *sweep) predict(f, bi int) []float64 {
+	out := make([]float64, len(s.occupancies))
+	if p := s.neutral[bi][f]; p != nil {
+		for k, occ := range s.occupancies {
+			out[k] = fusion.FeatureBound(s.dev, s.model.Features[f].Dim, neutral, p, occ, s.widths)
+		}
+	}
+	return out
 }
 
 // cached returns compute's value, served from the memo under key() when the
@@ -286,15 +341,23 @@ func (e *featureEnv) runnable(runnable []bool) bool {
 // featureJob runs feature f's local stage at occupancy k, unless the
 // occupancy is ruled out or proven to lose, and folds the winner's bound
 // into the occupancy's. With a memo, the decision is served from it when an
-// earlier tune made it over the same batches.
+// earlier tune made it over the same batches. Without one, the local stage
+// stops once the occupancy is proven to lose while it runs; the job then
+// returns errPruned and folds nothing.
 func (s *sweep) featureJob(k, f int) error {
 	if s.infeasible[k] || !s.open(k) {
 		return nil
+	}
+	if jobStarted != nil {
+		jobStarted(k, f)
 	}
 	occ := s.occupancies[k]
 	v, err := s.cached(func() string { return s.fps.decisionKey(occ, s.warps, f) }, func() (any, error) {
 		return s.decide(k, f)
 	})
+	if errors.Is(err, errPruned) {
+		return err
+	}
 	if errors.Is(err, errInfeasible) {
 		// Unreachable once prepare's checks pass: every batch has a
 		// runnable candidate, whose score is finite. Drop the occupancy
@@ -321,6 +384,9 @@ func (s *sweep) featureJob(k, f int) error {
 
 // decide runs feature f's bounded local stage at occupancy k and bounds the
 // winner's blocks in every batch's fused kernel (fusion.FeatureBound).
+// Without a memo the local stage polls open(k) and ends with errPruned once
+// the occupancy is proven to lose; with one it runs to its decision, which
+// the memo caches.
 func (s *sweep) decide(k, f int) (*decision, error) {
 	occ := s.occupancies[k]
 	plans := make([][]*sched.Plan, len(s.batches))
@@ -328,7 +394,11 @@ func (s *sweep) decide(k, f int) (*decision, error) {
 		ps, _ := s.plansOf(f, bi) // made without error by prepare
 		plans[bi] = ps.plans
 	}
-	idx, err := tuneFeatureBounded(s.dev, s.envs[k][f], occ, plans, s.pool)
+	var stop func() bool
+	if s.memo == nil {
+		stop = func() bool { return !s.open(k) }
+	}
+	idx, err := tuneFeatureBounded(s.dev, s.envs[k][f], occ, plans, s.pool, stop)
 	if err != nil {
 		return nil, err
 	}
@@ -481,14 +551,24 @@ func (s *sweep) globalStage(k int, limit float64) error {
 	return nil
 }
 
+// fusedBoundInterval is how many steps stepFused takes between bound checks.
+// An EndBound call scans every resident block, about the cost of a step, so
+// a check every boundInterval steps added about 9% to the global stages
+// that run to the end, and this interval adds under 3%; a stage that loses
+// is still abandoned within one interval of the first check that could
+// prove it.
+const fusedBoundInterval = 4 * boundInterval
+
 // stepFused runs one started fused simulation per batch, always advancing
 // the one furthest behind in simulated time, and stores each one's Time in
-// times. Every boundInterval steps it compares the sum of their clocks
-// (finished batches count their Time) with limit. Each clock only grows
-// towards its kernel's Time, and the latency sums the Times in the same
-// batch order, so a sum above limit proves the latency is too: stepFused
-// then stops and reports false.
+// times. Every fusedBoundInterval steps it compares the sum of the runs' end
+// bounds (gpusim's EndBound; a finished batch counts its Time) with limit.
+// Each end bound is at most its kernel's Time, up to rounding that
+// boundMargin covers, and the latency sums the Times, so a sum above
+// limit·(1+boundMargin) proves the latency is above limit: stepFused then
+// stops and reports false. With no limit it only steps.
 func stepFused(sims []*gpusim.Simulator, times []float64, limit float64) (bool, error) {
+	check := !math.IsInf(limit, 1)
 	for steps := 1; ; steps++ {
 		bi := -1
 		for b, sim := range sims {
@@ -507,18 +587,18 @@ func stepFused(sims []*gpusim.Simulator, times []float64, limit float64) (bool, 
 			times[bi] = sims[bi].Result().Time
 			sims[bi] = nil
 		}
-		if steps%boundInterval != 0 {
+		if !check || steps%fusedBoundInterval != 0 {
 			continue
 		}
-		clock := 0.0
+		end := 0.0
 		for b, sim := range sims {
 			if sim != nil {
-				clock += sim.Now()
+				end += sim.EndBound()
 			} else {
-				clock += times[b]
+				end += times[b]
 			}
 		}
-		if clock > limit {
+		if end > limit*(1+boundMargin) {
 			return false, nil
 		}
 	}
@@ -559,6 +639,11 @@ func (s *sweep) result() *Result {
 // stopped dispatching. Tests use it to hold later jobs until then; it is nil
 // otherwise.
 var jobFailed func()
+
+// jobStarted, when set, runs each time a feature job of occupancy k and
+// feature f passes its open check, before its local stage starts. Tests use
+// it to count and to stage jobs; it is nil otherwise.
+var jobStarted func(k, f int)
 
 // runJobs dispatches jobs 0..n-1 in index order to a pool of workers. Once
 // any job fails, no further jobs are handed out (cancellation); jobs already

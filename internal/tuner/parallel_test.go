@@ -3,11 +3,14 @@ package tuner
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/datasynth"
+	"repro/internal/embedding"
 	"repro/internal/gpusim"
 	"repro/internal/sched"
 )
@@ -114,18 +117,21 @@ func TestPrepareCancelsOnFirstPlanError(t *testing.T) {
 // TestRunJobsDeterministicError pins runJobs directly: the lowest-index
 // failure wins regardless of worker count, and dispatch stops promptly after
 // the failure instead of sweeping all n jobs. Jobs past the failing index
-// block on a gate the failing job closes, so the started count is bounded by
-// the in-flight window rather than by goroutine scheduling luck.
+// block on a gate that opens once runJobs has recorded job 5's failure and
+// stopped dispatching (jobFailed), so the started count is bounded by the
+// in-flight window rather than by goroutine scheduling luck.
 func TestRunJobsDeterministicError(t *testing.T) {
 	const n = 100
+	defer func() { jobFailed = nil }()
 	for _, workers := range []int{1, 3, 8} {
 		var started atomic.Int64
 		gate := make(chan struct{})
+		var openGate sync.Once
+		jobFailed = func() { openGate.Do(func() { close(gate) }) }
 		err := runJobs(n, workers, func(i int) error {
 			started.Add(1)
 			switch {
 			case i == 5:
-				close(gate)
 				return fmt.Errorf("job %d failed", i)
 			case i > 5:
 				<-gate
@@ -271,3 +277,131 @@ func TestFinishResultNeverPicksAbandoned(t *testing.T) {
 }
 
 func zeroChoices(m *Model) []int { return make([]int, len(m.Features)) }
+
+// heavyLastModel is a model whose features are listed lightest first, so
+// its heaviest feature, a 400-hot lookup of 128-wide rows, is the last in
+// index order. Its occupancies 5–8 lose.
+func heavyLastModel(t *testing.T) (*Model, []*embedding.Batch) {
+	t.Helper()
+	model, batches, _ := buildModelFrom(t, []datasynth.FeatureSpec{
+		{Name: "onehot4", Dim: 4, Rows: 4096, PF: datasynth.Fixed{K: 1}, Coverage: 1},
+		{Name: "onehot8", Dim: 8, Rows: 8192, PF: datasynth.Fixed{K: 1}, Coverage: 1},
+		{Name: "sparse16", Dim: 16, Rows: 8192, PF: datasynth.Fixed{K: 5}, Coverage: 0.3},
+		{Name: "multi8", Dim: 8, Rows: 16384, PF: datasynth.Normal{Mu: 50, Sigma: 10}, Coverage: 1},
+		{Name: "multi32", Dim: 32, Rows: 32768, PF: datasynth.Uniform{Lo: 1, Hi: 60}, Coverage: 0.8},
+		{Name: "heavy128", Dim: 128, Rows: 32768, PF: datasynth.Fixed{K: 400}, Coverage: 1},
+	}, 2, 128, 77)
+	return model, batches
+}
+
+// TestHeaviestFirstPrunesAfterOneJob pins the order in which an occupancy's
+// feature jobs start: heaviest predicted bound first (sweep.prepare). The
+// fixture lists its heaviest feature last and its high occupancies lose, so
+// at one worker every occupancy that is pruned before its global stage must
+// have started exactly one feature job; in feature-index order each would
+// start several. The selection and trials must be TuneSerial's.
+func TestHeaviestFirstPrunesAfterOneJob(t *testing.T) {
+	dev := gpusim.V100()
+	model, batches := heavyLastModel(t)
+	opts := Options{Occupancies: []int{1, 2, 3, 4, 5, 6, 7, 8}, Parallelism: 1}
+	serial, err := TuneSerial(dev, model, batches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make([]int, len(opts.Occupancies))
+	jobStarted = func(k, _ int) { started[k]++ }
+	defer func() { jobStarted = nil }()
+	got, err := Tune(dev, model, batches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsBitIdentical(t, "heaviest-first", serialTrials(t, model, serial, opts.Occupancies, nil), got)
+	nf, pruned := len(model.Features), 0
+	for k, occ := range opts.Occupancies {
+		switch started[k] {
+		case nf:
+		case 1:
+			pruned++
+		default:
+			t.Errorf("occupancy %d started %d of its %d feature jobs, want all or one", occ, started[k], nf)
+		}
+	}
+	if pruned == 0 {
+		t.Error("no occupancy was pruned in its local stage")
+	}
+}
+
+// TestLosingOccupancyCancelsRunningJob pins in-flight cancellation: a
+// feature job whose occupancy is proven to lose while it runs must stop
+// with errPruned, fold no bound and leave the occupancy's count of
+// unfinished jobs alone, and the sweep must still select what TuneSerial
+// selects. The test plays the sweep at one worker up to occupancy 6, the
+// first that loses, and starts its second-ranked job. Once that job has
+// passed its open check (jobStarted), the heaviest feature's job runs to
+// the end and folds the bound that proves the loss, as a second worker
+// would. A full tune at two workers, where cancellation depends on timing,
+// must select TuneSerial's result too.
+func TestLosingOccupancyCancelsRunningJob(t *testing.T) {
+	dev := gpusim.V100()
+	model, batches := heavyLastModel(t)
+	opts := Options{Occupancies: []int{4, 6}, Parallelism: 1}
+	serial, err := TuneSerial(dev, model, batches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialTrials(t, model, serial, opts.Occupancies, nil)
+
+	s, err := newSweep(dev, model, batches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 1 // occupancy 6
+	nf := len(model.Features)
+	for i := 0; i < k*nf; i++ {
+		if err := s.job(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heavy, running := s.rank[k][0], s.rank[k][1]
+	var left int
+	var bound []float64
+	jobStarted = func(kk, f int) {
+		if kk != k || f != running {
+			return
+		}
+		if err := s.featureJob(k, heavy); err != nil {
+			t.Fatal(err)
+		}
+		if s.open(k) {
+			t.Fatal("the heaviest feature's bound does not prove occupancy 6 loses")
+		}
+		left, bound = s.trials[k].left, slices.Clone(s.trials[k].bound)
+	}
+	defer func() { jobStarted = nil }()
+	if err := s.featureJob(k, running); !errors.Is(err, errPruned) {
+		t.Fatalf("running job returned %v, want errPruned", err)
+	}
+	tr := &s.trials[k]
+	if bound == nil || tr.left != left || !slices.Equal(tr.bound, bound) || tr.choice[running] != 0 {
+		t.Fatalf("cancelled job changed its trial: left %d -> %d, bound %v -> %v, choice %d",
+			left, tr.left, bound, tr.bound, tr.choice[running])
+	}
+	jobStarted = nil
+	for i := k * nf; i < len(opts.Occupancies)*nf; i++ {
+		if err := s.job(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := finishResult(model, s.result())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsBitIdentical(t, "cancelled", want, got)
+
+	o := opts
+	o.Parallelism = 2
+	if got, err = Tune(dev, model, batches, o); err != nil {
+		t.Fatal(err)
+	}
+	resultsBitIdentical(t, "par=2", want, got)
+}

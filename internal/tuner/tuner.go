@@ -18,10 +18,12 @@
 //
 // Two engines implement the search. Tune (parallel.go) is the production
 // engine, an exact branch-and-bound: it sweeps the occupancies in order on a
-// shared worker pool, stops each
-// feature's local-stage simulations once the winner is proven (local.go),
-// and stops tuning and measuring an occupancy once a sound lower bound on
-// its fused latency proves that an occupancy earlier in the sweep beats it.
+// shared worker pool, stops each feature's local-stage simulations once the
+// winner is proven (local.go), and stops tuning and measuring an occupancy
+// once a sound lower bound on its fused latency proves that an occupancy
+// earlier in the sweep beats it. It starts each occupancy's heaviest
+// features first, so a losing occupancy is usually proven to lose by its
+// first feature job, and jobs and global stages still running then stop.
 // Options.Warm puts an incumbent occupancy first in the sweep, and
 // Options.Memo serves repeated decisions and simulations from a shared
 // cache. Tune selects bit-identically to TuneSerial — the frozen reference
@@ -269,7 +271,7 @@ func TuneSerial(dev *gpusim.Device, model *Model, batches []*embedding.Batch, op
 	// traffic — light one-hot blocks and heavy multi-hot blocks alike —
 	// rather than oversaturating the device with copies of the feature
 	// under tuning.
-	pool, err := paddingPool(dev, model, ws, l2)
+	pool, _, err := paddingPool(dev, model, ws, l2)
 	if err != nil {
 		return nil, err
 	}

@@ -32,14 +32,22 @@ func buildTuneModel(t *testing.T, reps, nbatches, batchSize int, seed int64) (*M
 		{Name: "heavy128", Dim: 128, Rows: 32768, PF: datasynth.Fixed{K: 150}, Coverage: 1},
 		{Name: "sparse16", Dim: 16, Rows: 8192, PF: datasynth.Fixed{K: 5}, Coverage: 0.3},
 	}
-	cfg := &datasynth.ModelConfig{Name: "tune", Seed: seed}
+	var specs []datasynth.FeatureSpec
 	for rep := 0; rep < reps; rep++ {
 		for _, spec := range core {
 			s := spec
 			s.Name = s.Name + string(rune('a'+rep))
-			cfg.Features = append(cfg.Features, s)
+			specs = append(specs, s)
 		}
 	}
+	return buildModelFrom(t, specs, nbatches, batchSize, seed)
+}
+
+// buildModelFrom samples nbatches batches of the given features and returns
+// the tuner's default model of them.
+func buildModelFrom(t *testing.T, specs []datasynth.FeatureSpec, nbatches, batchSize int, seed int64) (*Model, []*embedding.Batch, *datasynth.ModelConfig) {
+	t.Helper()
+	cfg := &datasynth.ModelConfig{Name: "tune", Seed: seed, Features: specs}
 	var batches []*embedding.Batch
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < nbatches; i++ {
